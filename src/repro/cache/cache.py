@@ -2,9 +2,11 @@
 
 The contents stored in cache lines are opaque hashable values.  Concrete
 simulation stores integer block numbers; the symbolic simulator
-(:mod:`repro.simulation.symbolic`) reuses the same machinery but stores
-pairs of (concrete block, symbolic block) — data independence guarantees
-the policy behaves identically either way.
+(:mod:`repro.simulation.symbolic`) keeps the same per-set layout
+(``lines`` plus ``policy_state``) and stores each line's symbol beside
+it — data independence guarantees the policy behaves identically either
+way, and the shared layout lets one innermost-loop executor
+(:mod:`repro.simulation.executor`) update both kinds of set.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ class CacheSetState:
 
     def lookup(self, block: Hashable) -> Optional[int]:
         """Line index holding ``block``, or None (ClSet, Eq. 1)."""
-        for line, content in enumerate(self.lines):
-            if content == block:
-                return line
-        return None
+        try:
+            return self.lines.index(block)
+        except ValueError:
+            return None
 
     def access(self, policy: ReplacementPolicy, block: Hashable,
                allocate: bool = True) -> Tuple[bool, Optional[int]]:

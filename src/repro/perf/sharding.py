@@ -25,8 +25,9 @@ additionally be multiples of the shard modulus — see
 Speedup model: every shard walks the full iteration space (it must
 evaluate each access's address to decide ownership) but performs only
 ``1/K`` of the cache work, which dominates the sequential engine's
-runtime.  The tree-engine shard worker additionally uses a tuned walk
-loop with the single-level cache access inlined.  On a machine with
+runtime.  Both engines filter the access stream in the innermost-loop
+executor they share (:mod:`repro.simulation.executor`), which reads the
+shard from the sharded level configs.  On a machine with
 ``>= K`` cores the wall-clock speedup approaches the critical-path
 speedup ``t_seq / max_shard_time``; ``repro bench`` records both.
 """
@@ -34,20 +35,17 @@ speedup ``t_seq / max_shard_time``; ``repro bench`` records both.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro import obs
-from repro.cache.cache import Cache
 from repro.cache.config import (
     CacheConfig,
     HierarchyConfig,
-    WritePolicy,
     shard_target_config,
     shardable_ways,
 )
-from repro.cache.hierarchy import CacheHierarchy
-from repro.explore.runner import map_parallel
-from repro.polyhedral.model import AccessNode, LoopNode, Scop
+from repro.explore.runner import map_parallel, run_engine
+from repro.polyhedral.model import Scop
 from repro.simulation.result import LevelStats, SimulationResult
 
 TargetConfig = Union[CacheConfig, HierarchyConfig]
@@ -55,105 +53,6 @@ TargetConfig = Union[CacheConfig, HierarchyConfig]
 #: Engines that can be sharded (the Dinero-style baseline replays a
 #: trace and is kept sequential on purpose).
 SHARDABLE_ENGINES = ("tree", "warping")
-
-
-class _ShardTreeRunner:
-    """Concrete tree-walk restricted to one set shard.
-
-    Mirrors :class:`repro.simulation.nonwarping._Runner` exactly —
-    same traversal order, same domain checks — with the per-access
-    shard filter and, for single-level targets, the cache access
-    inlined (the per-access overhead of the generic engine is what the
-    shard walk amortises over ``1/K`` of the cache work).
-    """
-
-    __slots__ = ("target", "block_size", "modulus", "residue", "accesses",
-                 "_cache", "_sets", "_policy", "_num_sets",
-                 "_write_allocate")
-
-    def __init__(self, scop: Scop, target: Union[Cache, CacheHierarchy],
-                 modulus: int, residue: int):
-        self.target = target
-        self.block_size = target.config.block_size
-        self.modulus = modulus
-        self.residue = residue
-        self.accesses = 0
-        if isinstance(target, Cache):
-            self._cache: Optional[Cache] = target
-            self._sets = target.sets
-            self._policy = target.policy
-            self._num_sets = target.config.num_sets
-            self._write_allocate = (target.config.write_policy
-                                    is WritePolicy.WRITE_ALLOCATE)
-        else:
-            self._cache = None
-
-    def run(self, scop: Scop) -> None:
-        for root in scop.roots:
-            if isinstance(root, AccessNode):
-                self._access(root, ())
-            else:
-                self._loop(root, ())
-
-    def _access(self, node: AccessNode, point: Tuple[int, ...]) -> None:
-        if not node.in_domain(point):
-            return
-        block = node.addr_at(point) // self.block_size
-        if block % self.modulus != self.residue:
-            return
-        self.accesses += 1
-        if self._cache is None:
-            self.target.access(block, node.is_write)
-            return
-        cache = self._cache
-        allocate = not node.is_write or self._write_allocate
-        hit, _ = self._sets[(block // self.modulus) % self._num_sets] \
-            .access(self._policy, block, allocate)
-        if hit:
-            cache.hits += 1
-        else:
-            cache.misses += 1
-
-    def _loop(self, loop: LoopNode, prefix: Tuple[int, ...]) -> None:
-        bounds = loop.bounds_at(prefix)
-        if bounds is None:
-            return
-        lo, hi = bounds
-        children = loop.children
-        check_domain = not loop._bounds_exact or bool(loop.domain.divs)
-        single = self._cache is not None
-        block_size = self.block_size
-        modulus = self.modulus
-        residue = self.residue
-        for value in range(lo, hi + 1, loop.stride):
-            point = prefix + (value,)
-            if check_domain and not loop.in_domain(point):
-                continue
-            for child in children:
-                if child.__class__ is AccessNode:
-                    if (child.domain is not None
-                            and not child.in_domain(point)):
-                        continue
-                    block = child.addr_at(point) // block_size
-                    if block % modulus != residue:
-                        continue
-                    self.accesses += 1
-                    if single:
-                        allocate = (not child.is_write
-                                    or self._write_allocate)
-                        hit, _ = self._sets[
-                            (block // modulus) % self._num_sets
-                        ].access(self._policy, block, allocate)
-                        if hit:
-                            self._cache.hits += 1
-                        else:
-                            self._cache.misses += 1
-                    else:
-                        self.target.access(block, child.is_write)
-                elif isinstance(child, AccessNode):
-                    self._access(child, point)
-                else:
-                    self._loop(child, point)
 
 
 def _run_shard_task(task: dict) -> dict:
@@ -185,51 +84,34 @@ def _run_shard(task: dict) -> dict:
     try:
         cpu0 = time.process_time()
         with obs.Stopwatch(f"shard[{residue}]") as watch:
+            memo = None
             if engine == "warping":
                 from repro.perf.memo import global_memo
-                from repro.simulation.warping import simulate_warping
 
                 # Memoised analyses are full-block-space facts, so
                 # shards share memo entries with each other and with
                 # unsharded runs; each (pool worker) process accumulates
                 # reuse across the shards and points it serves.
                 memo = global_memo().for_simulation(scop, sharded)
-                result = simulate_warping(
-                    scop, sharded,
-                    enable_warping=task["enable_warping"],
-                    memo=memo)
-                record = {
-                    "levels": [(s.name, s.hits, s.misses)
-                               for s in result.levels],
-                    "accesses": result.accesses,
-                    "explicit_accesses": result.simulated_accesses,
-                    "warp_count": result.warp_count,
-                    "warp_attempts": result.warp_attempts,
-                }
-            else:
-                target = (CacheHierarchy(sharded)
-                          if isinstance(sharded, HierarchyConfig)
-                          else Cache(sharded))
-                runner = _ShardTreeRunner(scop, target, modulus, residue)
-                runner.run(scop)
-                caches = (target.levels
-                          if isinstance(target, CacheHierarchy)
-                          else [target])
-                record = {
-                    "levels": [(c.config.name, c.hits, c.misses)
-                               for c in caches],
-                    "accesses": runner.accesses,
-                    "explicit_accesses": runner.accesses,
-                    "warp_count": 0,
-                    "warp_attempts": 0,
-                }
+            # A target built from sharded configs performs (and counts)
+            # only the accesses the shard owns, on either engine.
+            result = run_engine(scop, sharded, engine,
+                                enable_warping=task["enable_warping"],
+                                memo=memo)
         cpu_s = time.process_time() - cpu0
     finally:
         if local is not None:
             obs.disable()
-    record["shard"] = residue
-    record["cpu_s"] = cpu_s
-    record["wall_s"] = watch.elapsed
+    record = {
+        "shard": residue,
+        "levels": [(s.name, s.hits, s.misses) for s in result.levels],
+        "accesses": result.accesses,
+        "explicit_accesses": result.simulated_accesses,
+        "warp_count": result.warp_count,
+        "warp_attempts": result.warp_attempts,
+        "cpu_s": cpu_s,
+        "wall_s": watch.elapsed,
+    }
     if local is not None:
         record["obs"] = local.snapshot()
     return record
@@ -278,8 +160,6 @@ def shard_simulate(scop: Scop, config: TargetConfig,
     requested = shards if shards is not None else (workers or 1)
     k = shardable_ways(config, requested)
     if k == 1:
-        from repro.explore.runner import run_engine
-
         result = run_engine(scop, config, engine,
                             enable_warping=enable_warping)
         result.extra.setdefault("shards", 1)

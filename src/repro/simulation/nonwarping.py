@@ -3,18 +3,21 @@
 Walks the SCoP tree, enumerating the iteration domains in lexicographic
 order and performing every memory access on a concrete cache model.
 Runtime is proportional to the number of memory accesses — this is the
-baseline that warping accelerates.
+baseline that warping accelerates.  The accesses themselves are performed
+by the innermost-loop executor every engine shares
+(:mod:`repro.simulation.executor`); a target built from sharded configs
+simulates one set shard.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 from repro import obs
 from repro.cache.cache import Cache
-from repro.cache.config import WritePolicy
 from repro.cache.hierarchy import CacheHierarchy
 from repro.polyhedral.model import AccessNode, LoopNode, Scop
+from repro.simulation.executor import LeafExecutor
 from repro.simulation.result import LevelStats, SimulationResult
 
 Target = Union[Cache, CacheHierarchy]
@@ -41,17 +44,15 @@ def simulate(scop: Scop, target: Target,
     caches = (target.levels if isinstance(target, CacheHierarchy)
               else [target])
     base = [(cache.hits, cache.misses) for cache in caches]
-    # The per-access loop is deliberately uninstrumented: the whole run
-    # is one span, so the disabled-profiling path pays nothing extra.
     with obs.Stopwatch("engine.tree") as watch:
-        runner = _Runner(scop, target)
+        executor = LeafExecutor(target)
         for root in scop.roots:
-            runner.run_node(root, ())
-    obs.count("tree.accesses", runner.accesses)
+            _walk(executor, root, ())
+    obs.count("tree.accesses", executor.accesses)
 
     result = SimulationResult(scop_name=scop.name, wall_time=watch.elapsed)
-    result.accesses = runner.accesses
-    result.simulated_accesses = runner.accesses
+    result.accesses = executor.accesses
+    result.simulated_accesses = executor.accesses
     result.levels = [
         LevelStats(cache.config.name, cache.hits - hits0,
                    cache.misses - misses0)
@@ -60,48 +61,27 @@ def simulate(scop: Scop, target: Target,
     return result
 
 
-class _Runner:
-    """Recursive tree-walk (LoopNode::Simulate / AccessNode::Simulate)."""
-
-    __slots__ = ("block_size", "target", "accesses", "_is_hierarchy")
-
-    def __init__(self, scop: Scop, target: Target):
-        if isinstance(target, CacheHierarchy):
-            self.block_size = target.config.block_size
-            self._is_hierarchy = True
-        else:
-            self.block_size = target.config.block_size
-            self._is_hierarchy = False
-        self.target = target
-        self.accesses = 0
-
-    def run_node(self, node: Union[LoopNode, AccessNode],
-                 prefix: Tuple[int, ...]) -> None:
-        if isinstance(node, AccessNode):
-            self.run_access(node, prefix)
-        else:
-            self.run_loop(node, prefix)
-
-    def run_loop(self, loop: LoopNode, prefix: Tuple[int, ...]) -> None:
-        bounds = loop.bounds_at(prefix)
-        if bounds is None:
-            return
-        lo, hi = bounds
-        children = loop.children
-        check_domain = not loop._bounds_exact or bool(loop.domain.divs)
-        for value in range(lo, hi + 1, loop.stride):
-            point = prefix + (value,)
-            if check_domain and not loop.in_domain(point):
-                continue
-            for child in children:
-                if isinstance(child, AccessNode):
-                    self.run_access(child, point)
-                else:
-                    self.run_loop(child, point)
-
-    def run_access(self, node: AccessNode, point: Tuple[int, ...]) -> None:
-        if not node.in_domain(point):
-            return
-        block = node.addr_at(point) // self.block_size
-        self.accesses += 1
-        self.target.access(block, node.is_write)
+def _walk(executor: LeafExecutor, node: Union[LoopNode, AccessNode],
+          prefix: Tuple[int, ...]) -> None:
+    """LoopNode::Simulate / AccessNode::Simulate."""
+    if isinstance(node, AccessNode):
+        executor.run_point((node,), prefix)
+        return
+    bounds = node.bounds_at(prefix)
+    if bounds is None:
+        return
+    lo, hi = bounds
+    body, leaf = executor.body(node)
+    if leaf:
+        executor.run(node, prefix, lo, hi)
+        return
+    check_domain = not node._bounds_exact
+    for value in range(lo, hi + 1, node.stride):
+        point = prefix + (value,)
+        if check_domain and not node.in_domain(point):
+            continue
+        for child in body:
+            if child.__class__ is tuple:
+                executor.run_point(child, point)
+            else:
+                _walk(executor, child, point)

@@ -38,14 +38,19 @@ SymBlock = Tuple[AccessNode, Tuple[int, ...]]
 
 
 class SymbolicSetState:
-    """One cache set holding concrete blocks and their symbols."""
+    """One cache set holding concrete blocks and their symbols.
 
-    __slots__ = ("assoc", "blocks", "syms", "policy_state", "version",
+    ``lines[l]`` is the concrete block in way ``l`` (None = empty), the
+    same layout as :class:`repro.cache.cache.CacheSetState`; ``syms[l]``
+    is its symbol.
+    """
+
+    __slots__ = ("assoc", "lines", "syms", "policy_state", "version",
                  "_key_cache")
 
     def __init__(self, assoc: int, policy: ReplacementPolicy):
         self.assoc = assoc
-        self.blocks: List[Optional[int]] = [None] * assoc
+        self.lines: List[Optional[int]] = [None] * assoc
         self.syms: List[Optional[SymBlock]] = [None] * assoc
         self.policy_state = policy.initial_state(assoc)
         self.version = 0
@@ -59,14 +64,14 @@ class SymbolicSetState:
         try:
             # list.index scans at C speed — this lookup runs once per
             # simulated access and dominates the symbolic hot path.
-            line = self.blocks.index(block)
+            line = self.lines.index(block)
         except ValueError:
             if not allocate:
                 return False
-            occupied = [content is not None for content in self.blocks]
+            occupied = [content is not None for content in self.lines]
             line, self.policy_state = policy.on_miss(self.policy_state,
                                                      self.assoc, occupied)
-            self.blocks[line] = block
+            self.lines[line] = block
             self.syms[line] = sym
             return False
         self.policy_state = policy.on_hit(self.policy_state,
@@ -124,7 +129,7 @@ class SymbolicSetState:
     def clone(self) -> "SymbolicSetState":
         copy = SymbolicSetState.__new__(SymbolicSetState)
         copy.assoc = self.assoc
-        copy.blocks = list(self.blocks)
+        copy.lines = list(self.lines)
         copy.syms = list(self.syms)
         copy.policy_state = self.policy_state
         copy.version = self.version + 1
@@ -160,12 +165,12 @@ class SymbolicCache:
 
     def _peek_victim(self, set_state: SymbolicSetState):
         """The (block, sym) entry the next allocation would displace."""
-        occupied = [content is not None for content in set_state.blocks]
+        occupied = [content is not None for content in set_state.lines]
         victim_line, _ = self.policy.on_miss(
             set_state.policy_state, set_state.assoc, occupied)
-        if set_state.blocks[victim_line] is None:
+        if set_state.lines[victim_line] is None:
             return None
-        return (set_state.blocks[victim_line],
+        return (set_state.lines[victim_line],
                 set_state.syms[victim_line])
 
     def access_capture(self, block: int, sym: SymBlock, is_write: bool):
@@ -182,7 +187,7 @@ class SymbolicCache:
         self.mru_set = index
         set_state = self.sets[index]
         victim = None
-        if allocate and block not in set_state.blocks:
+        if allocate and block not in set_state.lines:
             victim = self._peek_victim(set_state)
         hit = set_state.access(self.policy, block, sym, allocate)
         if hit:
@@ -202,10 +207,10 @@ class SymbolicCache:
         index = self.config.index_of(block)
         self.mru_set = index
         set_state = self.sets[index]
-        for line, content in enumerate(set_state.blocks):
+        for line, content in enumerate(set_state.lines):
             if content == block:
                 set_state.version += 1
-                set_state.blocks[line] = None
+                set_state.lines[line] = None
                 set_state.syms[line] = None
                 self.hits += 1
                 return True
@@ -223,7 +228,7 @@ class SymbolicCache:
         self.mru_set = index
         set_state = self.sets[index]
         victim = None
-        if block not in set_state.blocks:
+        if block not in set_state.lines:
             victim = self._peek_victim(set_state)
         set_state.access(self.policy, block, sym, True)
         return victim
@@ -235,10 +240,10 @@ class SymbolicCache:
         hierarchy's ``_invalidate``.
         """
         set_state = self.sets[self.config.index_of(block)]
-        for line, content in enumerate(set_state.blocks):
+        for line, content in enumerate(set_state.lines):
             if content == block:
                 set_state.version += 1
-                set_state.blocks[line] = None
+                set_state.lines[line] = None
                 set_state.syms[line] = None
                 return
 
@@ -299,8 +304,8 @@ class SymbolicCache:
                     for k, value in enumerate(point)
                 )
                 moved.syms[line] = (node, new_point)
-                moved.blocks[line] = (moved.blocks[line]
-                                      + shift_blocks_cache[key])
+                moved.lines[line] = (moved.lines[line]
+                                     + shift_blocks_cache[key])
             new_sets[target] = moved
         self.sets = new_sets  # type: ignore[assignment]
         self.mru_set = (self.mru_set + total_rot) % num_sets

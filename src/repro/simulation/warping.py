@@ -23,54 +23,30 @@ Design notes relative to the paper:
   coincides with where matches occur in practice.
 * ``FurthestByOverlap``/``FurthestByDomains`` reduce to exact ILP queries
   on Presburger sets built with :mod:`repro.isl`.
+* Every explicit access is performed by the innermost-loop executor the
+  engines share (:mod:`repro.simulation.executor`): innermost loops
+  without match detection drain through it in one call, loop bodies
+  under match detection run one iteration point at a time.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.cache.config import (
-    CacheConfig,
-    HierarchyConfig,
-    IndexFunction,
-    WritePolicy,
-)
+from repro.cache.config import CacheConfig, HierarchyConfig, IndexFunction
 from repro.isl.affine import LinExpr
 from repro.isl.sets import BasicSet
 from repro.polyhedral.model import AccessNode, LoopNode, Scop
+from repro.simulation.executor import LeafExecutor
 from repro.simulation.result import SimulationResult
 from repro.simulation.symbolic import (
     SingleLevel,
     SymbolicCache,
     SymbolicHierarchy,
-    evaluate_symbol,
 )
 
 TargetConfig = Union[CacheConfig, HierarchyConfig]
-
-
-class _NineLevels:
-    """Adapter: a bare list of symbolic caches under NINE descent.
-
-    Kept for callers (tests, analyses) that build a runner from raw
-    levels rather than a :class:`SingleLevel`/:class:`SymbolicHierarchy`.
-    """
-
-    __slots__ = ("levels",)
-
-    def __init__(self, levels: Sequence[SymbolicCache]):
-        self.levels = tuple(levels)
-
-    def access(self, block: int, sym, is_write: bool) -> bool:
-        hit1 = self.levels[0].access(block, sym, is_write)
-        hit = hit1
-        for level in self.levels[1:]:
-            if hit:
-                break
-            hit = level.access(block, sym, is_write)
-        return hit1
 
 
 def simulate_warping(scop: Scop, config: TargetConfig,
@@ -121,8 +97,8 @@ def simulate_warping(scop: Scop, config: TargetConfig,
     result = SimulationResult(scop_name=scop.name,
                               wall_time=watch.elapsed)
     result.accesses = runner.accesses
-    result.simulated_accesses = runner.explicit_accesses
-    result.warped_accesses = runner.accesses - runner.explicit_accesses
+    result.simulated_accesses = runner.executor.accesses
+    result.warped_accesses = runner.warped_accesses
     result.warp_count = runner.warp_count
     result.warp_attempts = runner.warp_attempts
     result.set_levels(target.levels)
@@ -146,31 +122,20 @@ class _WarpingRunner:
     max_matchless_executions = 3
 
     def __init__(self, scop: Scop,
-                 target: Union[SingleLevel, SymbolicHierarchy,
-                               Sequence[SymbolicCache]],
+                 target: Union[SingleLevel, SymbolicHierarchy],
                  enable_warping: bool = True,
                  memo=None):
         self.scop = scop
-        if isinstance(target, (list, tuple)):
-            target = _NineLevels(target)
-        self.target = target
         self.levels: List[SymbolicCache] = list(target.levels)
         self.block_size = self.levels[0].config.block_size
+        #: Performs every explicit access (and counts them).
+        self.executor = LeafExecutor(target)
         # Set sharding: when the target is built from sharded configs
-        # (ShardedCacheConfig), only blocks of the shard's residue class
-        # are accessed, and block shifts must additionally be multiples
-        # of the shard modulus to induce a rotation of the shard's sets.
-        self.shard_modulus = getattr(self.levels[0].config,
-                                     "shard_modulus", 1)
-        self.shard_residue = getattr(self.levels[0].config,
-                                     "shard_residue", 0)
-        for level in self.levels[1:]:
-            if (getattr(level.config, "shard_modulus", 1)
-                    != self.shard_modulus
-                    or getattr(level.config, "shard_residue", 0)
-                    != self.shard_residue):
-                raise ValueError(
-                    "all hierarchy levels must share one shard")
+        # (ShardedCacheConfig), the executor performs only the accesses
+        # of the shard's residue class, and block shifts must
+        # additionally be multiples of the shard modulus to induce a
+        # rotation of the shard's sets.
+        self.shard_modulus = self.executor.modulus
         #: A node's byte shift must be a multiple of this for its block
         #: shift to be constant (block alignment) AND to stay inside the
         #: shard's residue class (modulus alignment).
@@ -186,8 +151,8 @@ class _WarpingRunner:
             for level in self.levels
         )
         self.enable_warping = enable_warping and modulo_only
-        self.accesses = 0
-        self.explicit_accesses = 0
+        #: Accesses accounted for analytically by warps.
+        self.warped_accesses = 0
         self.warp_count = 0
         self.warp_attempts = 0
         self._last_n = 0
@@ -209,12 +174,11 @@ class _WarpingRunner:
             id(loop): index
             for index, loop in enumerate(scop.loop_nodes())
         }
-        # Profiling hooks are bound at construction time: with no active
-        # tracer, the per-access and per-iteration hot paths carry zero
-        # instrumentation (``self._tracer is None`` branches only).
-        self._tracer = obs.current()
-        if self._tracer is not None:
-            self.run_access = self._run_access_traced
+
+    @property
+    def accesses(self) -> int:
+        """Accesses so far: performed explicitly plus warped."""
+        return self.executor.accesses + self.warped_accesses
 
     def _analysis_scope(self, loop: LoopNode,
                         prefix: Tuple[int, ...]) -> Dict:
@@ -234,33 +198,12 @@ class _WarpingRunner:
 
     def run_node(self, node, prefix: Tuple[int, ...]) -> None:
         if isinstance(node, AccessNode):
-            self.run_access(node, prefix)
+            # AccessNode::WarpingSimulate.  The target encapsulates the
+            # inter-level semantics (NINE / inclusive / exclusive
+            # descent, victim flow, invalidations).
+            self.executor.run_point((node,), prefix)
         else:
             self.run_loop(node, prefix)
-
-    def run_access(self, node: AccessNode, point: Tuple[int, ...]) -> None:
-        """AccessNode::WarpingSimulate."""
-        if not node.in_domain(point):
-            return
-        block = node.addr_at(point) // self.block_size
-        if (self.shard_modulus > 1
-                and block % self.shard_modulus != self.shard_residue):
-            return  # another shard owns this block
-        sym = (node, point)
-        self.accesses += 1
-        self.explicit_accesses += 1
-        # The target encapsulates the inter-level semantics (NINE /
-        # inclusive / exclusive descent, victim flow, invalidations).
-        self.target.access(block, sym, node.is_write)
-
-    def _run_access_traced(self, node: AccessNode,
-                           point: Tuple[int, ...]) -> None:
-        """run_access with symbolic-update time attribution (profiling
-        builds only; bound over ``run_access`` in ``__init__``)."""
-        start = time.perf_counter()
-        _WarpingRunner.run_access(self, node, point)
-        self._tracer.add_time("sym.access",
-                              time.perf_counter() - start)
 
     def run_loop(self, loop: LoopNode, prefix: Tuple[int, ...]) -> None:
         """LoopNode::WarpingSimulate."""
@@ -268,48 +211,31 @@ class _WarpingRunner:
         if bounds is None:
             return
         lo, hi = bounds
-        stride = loop.stride
-        depth = loop.depth
-        children = loop.children
-        check_domain = not loop._bounds_exact
+        executor = self.executor
+        body, leaf = executor.body(loop)
         matchless = self._matchless_runs.get(id(loop), 0)
         matching = (self.enable_warping and loop._bounds_exact
                     and matchless < self.max_matchless_executions)
+        if leaf and not matching:
+            # Innermost loop without match detection: straight-line
+            # access work, drained in one executor call.
+            executor.run(loop, prefix, lo, hi)
+            return
+        stride = loop.stride
+        depth = loop.depth
+        check_domain = not loop._bounds_exact
         had_match = False
         history: Dict[Tuple, Tuple[int, Tuple[Tuple[int, int], ...], int]] = {}
         # Per-loop-execution caches for the polyhedral analyses
         # (memo-backed and persistent across runs when a memo is set).
         analysis_cache: Dict = self._analysis_scope(loop, prefix)
         fail_streak = 0
-        tracer = self._tracer
-        leaf_body = all(
-            isinstance(child, AccessNode) for child in children)
         value = lo
         while value <= hi:
-            if leaf_body and not matching:
-                if tracer is None:
-                    # Innermost loop with match detection off: the rest
-                    # of this execution is straight-line symbolic access
-                    # work — drain it through the batch fast path
-                    # (incremental addresses, inlined set lookup).
-                    self._run_leaf_batch(loop, prefix, value, hi)
-                    break
-                # Profiling, innermost loop, match detection off: the
-                # rest of this execution is pure symbolic access work —
-                # drain it under one timed window so the probe cost and
-                # the loop machinery are attributed, not self time.
-                t0 = time.perf_counter()
-                n_calls = 0
-                run_access = _WarpingRunner.run_access
-                while value <= hi:
-                    point = prefix + (value,)
-                    if not check_domain or loop.in_domain(point):
-                        for child in children:
-                            run_access(self, child, point)
-                        n_calls += len(children)
-                    value += stride
-                tracer.add_time("sym.access",
-                                time.perf_counter() - t0, n_calls)
+            if leaf and not matching:
+                # The fail streak switched match detection off: drain
+                # the rest of this execution.
+                executor.run(loop, prefix, value, hi)
                 break
             point = prefix + (value,)
             if check_domain and not loop.in_domain(point):
@@ -320,11 +246,7 @@ class _WarpingRunner:
                 # The whole match-detection block (state keys, history
                 # lookup/update) is one warp.bookkeeping span when
                 # profiling; warp.analysis nests inside it.
-                bookkeeping = (tracer.span("warp.bookkeeping")
-                               if tracer is not None else None)
-                if bookkeeping is not None:
-                    bookkeeping.__enter__()
-                try:
+                with obs.span("warp.bookkeeping"):
                     key = tuple(
                         level.snapshot_key(depth, point)
                         for level in self.levels
@@ -336,22 +258,14 @@ class _WarpingRunner:
                         delta = value - i0
                         if delta > 0:
                             self.warp_attempts += 1
-                            if tracer is None:
+                            obs.count("warp.attempts")
+                            with obs.span("warp.analysis"):
                                 warped = self._try_warp(
                                     loop, prefix, i0, value, hi, delta,
                                     counters0, acc0, analysis_cache,
                                 )
-                            else:
-                                tracer.count("warp.attempts")
-                                with tracer.span("warp.analysis"):
-                                    warped = self._try_warp(
-                                        loop, prefix, i0, value, hi,
-                                        delta, counters0, acc0,
-                                        analysis_cache,
-                                    )
-                                if warped:
-                                    tracer.count("warp.hits")
                             if warped:
+                                obs.count("warp.hits")
                                 value = value + delta * self._last_n
                                 point = prefix + (value,)
                                 fail_streak = 0
@@ -367,149 +281,17 @@ class _WarpingRunner:
                     counters = tuple((lvl.hits, lvl.misses)
                                      for lvl in self.levels)
                     history[key] = (value, counters, self.accesses)
-                finally:
-                    if bookkeeping is not None:
-                        bookkeeping.__exit__()
             if not warped:
-                if tracer is None:
-                    for child in children:
-                        if isinstance(child, AccessNode):
-                            self.run_access(child, point)
-                        else:
-                            self.run_loop(child, point)
-                elif leaf_body:
-                    # Innermost loop: one timed window per iteration
-                    # instead of per access, so the probe cost (two
-                    # clock reads) amortises over the whole body.
-                    t0 = time.perf_counter()
-                    for child in children:
-                        _WarpingRunner.run_access(self, child, point)
-                    tracer.add_time("sym.access",
-                                    time.perf_counter() - t0,
-                                    len(children))
-                else:
-                    for child in children:
-                        if isinstance(child, AccessNode):
-                            self._run_access_traced(child, point)
-                        else:
-                            self.run_loop(child, point)
+                for child in body:
+                    if child.__class__ is tuple:
+                        executor.run_point(child, point)
+                    else:
+                        self.run_loop(child, point)
                 value += stride
         if self.enable_warping and loop._bounds_exact and (
                 matching or had_match):
             self._matchless_runs[id(loop)] = (
                 0 if had_match else matchless + 1)
-
-    def _run_leaf_batch(self, loop: LoopNode, prefix: Tuple[int, ...],
-                        value: int, hi: int) -> None:
-        """Drain ``value..hi`` of an innermost loop without match detection.
-
-        Semantically identical to running :meth:`run_access` for every
-        child at every in-domain iteration, but restructured for speed —
-        this is where warp-hostile kernels (match detection disabled
-        after ``max_matchless_executions``) spend essentially all their
-        time:
-
-        * each child's byte address is affine in the loop iterator, so it
-          is advanced by a constant per iteration instead of re-evaluated;
-        * children with no domain constraints skip the guard entirely;
-        * for an unsharded single cache with modulo placement, the whole
-          set lookup/update (``SymbolicCache.access`` +
-          ``SymbolicSetState.access``) is inlined with counters and the
-          MRU index kept in locals.
-        """
-        children = loop.children
-        stride = loop.stride
-        check_domain = not loop._bounds_exact
-        own_index = loop.depth - 1
-        block_size = self.block_size
-        first_point = prefix + (value,)
-        # [node, byte address, per-iteration step, guarded?, is_write]
-        infos = []
-        for node in children:
-            coeff = (node.coeff_vector()[own_index]
-                     if own_index < len(node.dims) else 0)
-            infos.append([node, node.addr_at(first_point),
-                          coeff * stride, node.domain is not None,
-                          node.is_write])
-        target = self.target
-        inline = None
-        if isinstance(target, SingleLevel) and self.shard_modulus == 1:
-            cfg = target.cache.config
-            if (type(cfg).index_of is CacheConfig.index_of
-                    and cfg.index_function is IndexFunction.MODULO):
-                inline = target.cache
-        count = 0
-        if inline is not None:
-            policy = inline.policy
-            sets = inline.sets
-            cfg = inline.config
-            num_sets = cfg.num_sets
-            assoc = cfg.assoc
-            allocate_writes = (cfg.write_policy
-                               is WritePolicy.WRITE_ALLOCATE)
-            on_hit = policy.on_hit
-            on_miss = policy.on_miss
-            hits = inline.hits
-            misses = inline.misses
-            mru = inline.mru_set
-            while value <= hi:
-                point = prefix + (value,)
-                if not check_domain or loop.in_domain(point):
-                    for info in infos:
-                        node = info[0]
-                        if info[3] and not node.in_domain(point):
-                            continue
-                        block = info[1] // block_size
-                        mru = block % num_sets
-                        state = sets[mru]
-                        state.version += 1
-                        blocks = state.blocks
-                        try:
-                            line = blocks.index(block)
-                        except ValueError:
-                            if info[4] and not allocate_writes:
-                                misses += 1
-                            else:
-                                occupied = [content is not None
-                                            for content in blocks]
-                                line, state.policy_state = on_miss(
-                                    state.policy_state, assoc, occupied)
-                                blocks[line] = block
-                                state.syms[line] = (node, point)
-                                misses += 1
-                        else:
-                            state.policy_state = on_hit(
-                                state.policy_state, assoc, line)
-                            state.syms[line] = (node, point)
-                            hits += 1
-                        count += 1
-                for info in infos:
-                    info[1] += info[2]
-                value += stride
-            inline.hits = hits
-            inline.misses = misses
-            inline.mru_set = mru
-        else:
-            target_access = target.access
-            modulus = self.shard_modulus
-            residue = self.shard_residue
-            while value <= hi:
-                point = prefix + (value,)
-                if not check_domain or loop.in_domain(point):
-                    for info in infos:
-                        node = info[0]
-                        if info[3] and not node.in_domain(point):
-                            continue
-                        block = info[1] // block_size
-                        if modulus > 1 and block % modulus != residue:
-                            continue
-                        count += 1
-                        target_access(block, (node, point), info[4])
-                for info in infos:
-                    info[1] += info[2]
-                value += stride
-        self.accesses += count
-        self.explicit_accesses += count
 
     # -- warping --------------------------------------------------------------------
 
@@ -619,7 +401,7 @@ class _WarpingRunner:
                 level.apply_rotation(rotation, delta_vec, n)
                 level.hits += n * (level.hits - h0)
                 level.misses += n * (level.misses - m0)
-        self.accesses += n * (self.accesses - acc0)
+        self.warped_accesses += n * (self.accesses - acc0)
         self.warp_count += 1
         self._last_n = n
         return True
@@ -986,7 +768,7 @@ class _WarpingRunner:
                         continue
                     node, _ = sym
                     entry_shift = entry_shifts[id(node)]
-                    b1 = set_state.blocks[line]
+                    b1 = set_state.lines[line]
                     b0 = b1 - entry_shift
                     # b0 must map consistently under every hull covering it
                     # (pi's domain side), and b1 under every shifted hull

@@ -135,12 +135,9 @@ def test_shard_counts_sum_per_shard():
     total = 0
     for residue in range(4):
         sharded = shard_target_config(config, 4, residue)
-        cache = Cache(sharded)
-        from repro.perf.sharding import _ShardTreeRunner
-
-        runner = _ShardTreeRunner(scop, cache, 4, residue)
-        runner.run(scop)
-        total += runner.accesses
+        shard = simulate_nonwarping(scop, Cache(sharded))
+        assert shard.accesses == shard.l1_hits + shard.l1_misses
+        total += shard.accesses
     assert total == sequential.accesses
 
 

@@ -61,7 +61,7 @@ def test_concretize_matches_blocks():
     contents = symbolic.concretize(1, (9,))
     for set_index, row in enumerate(contents):
         for line, value in enumerate(row):
-            stored = symbolic.sets[set_index].blocks[line]
+            stored = symbolic.sets[set_index].lines[line]
             if stored is not None:
                 # Symbols were stored at their own access iteration, and
                 # concretize rebases the own coordinate; entries written
@@ -125,8 +125,8 @@ def test_apply_rotation_equals_resimulation():
     rotation = (8 * 8 // 16) % cfg.num_sets
     warped.apply_rotation(rotation, (period,), 2)
     reference = fresh(24 + 2 * period)
-    assert [s.blocks for s in warped.sets] == \
-        [s.blocks for s in reference.sets]
+    assert [s.lines for s in warped.sets] == \
+        [s.lines for s in reference.sets]
     assert [s.policy_state for s in warped.sets] == \
         [s.policy_state for s in reference.sets]
 
@@ -163,4 +163,4 @@ def test_reset():
     symbolic.access(3, (node, (0,)), False)
     symbolic.reset()
     assert symbolic.cache.misses == 0
-    assert all(b is None for s in symbolic.cache.sets for b in s.blocks)
+    assert all(b is None for s in symbolic.cache.sets for b in s.lines)

@@ -45,7 +45,7 @@ def test_symbolic_equals_concrete(policy, write_policy, trace):
     assert concrete.hits == symbolic.hits
     # Line contents agree set by set.
     for concrete_set, symbolic_set in zip(concrete.sets, symbolic.sets):
-        assert concrete_set.lines == symbolic_set.blocks
+        assert concrete_set.lines == symbolic_set.lines
         assert concrete_set.policy_state == symbolic_set.policy_state
 
 

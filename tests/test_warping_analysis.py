@@ -12,13 +12,13 @@ from repro.cache.cache import Cache
 from repro.isl.affine import LinExpr
 from repro.polyhedral import ScopBuilder
 from repro.simulation import simulate_nonwarping, simulate_warping
-from repro.simulation.symbolic import SymbolicCache
+from repro.simulation.symbolic import SingleLevel
 from repro.simulation.warping import _WarpingRunner
 
 
 def runner_for(scop, cfg=None):
     cfg = cfg or CacheConfig(64, 2, 8, "lru")
-    return _WarpingRunner(scop, [SymbolicCache(cfg)])
+    return _WarpingRunner(scop, SingleLevel(cfg))
 
 
 # -- invariance classification ---------------------------------------------------------
