@@ -33,9 +33,8 @@ Package map:
   (tiling, interchange, reversal, fusion, distribution) with a
   composable pipeline grammar.
 * :mod:`repro.perf` — the performance layer: set-sharded parallel
-  simulation, warp-interval memoization, the ``repro bench``
-  trajectory harness and its regression gate
-  (``repro bench --compare``).
+  simulation, the ``repro bench`` trajectory harness and its
+  regression gate (``repro bench --compare``).
 * :mod:`repro.obs` — observability: hierarchical span tracing, named
   counters, phase profiling (``repro profile``), typed metrics
   (counters/gauges/histograms) with Prometheus and JSONL time-series
@@ -74,12 +73,7 @@ from repro.explore import (
     policy_sensitivity,
     run_sweep,
 )
-from repro.perf import (
-    WarpMemo,
-    compare_payloads,
-    scop_signature,
-    shard_simulate,
-)
+from repro.perf import compare_payloads, shard_simulate
 from repro.polybench import build_kernel, all_kernel_names
 from repro.polyhedral import ScopBuilder
 from repro.simulation import (
@@ -112,7 +106,6 @@ __all__ = [
     "Pipeline",
     "TransformError",
     "TransformStep",
-    "WarpMemo",
     "WritePolicy",
     "ScopBuilder",
     "SimulationResult",
@@ -121,7 +114,6 @@ __all__ = [
     "SweepSpec",
     "apply_pipeline",
     "render_scop",
-    "scop_signature",
     "shard_simulate",
     "simulate_nonwarping",
     "simulate_warping",

@@ -64,10 +64,6 @@ class CacheSetState:
         copy.policy_state = self.policy_state
         return copy
 
-    def map_contents(self, fn: Callable[[Hashable], Hashable]) -> None:
-        """Apply a renaming to the stored blocks (a bijection pi)."""
-        self.lines = [None if b is None else fn(b) for b in self.lines]
-
     def contents_key(self) -> Tuple:
         """Hashable snapshot (contents + policy state)."""
         return (tuple(self.lines), self.policy_state)

@@ -406,16 +406,3 @@ def test_system_hierarchy(
     levels = (test_system_l1(), test_system_l2(), test_system_l3())
     return HierarchyConfig(levels=levels[:depth], inclusion=inclusion)
 
-
-def polycache_hierarchy() -> HierarchyConfig:
-    """The configuration used in the PolyCache comparison (Fig. 9)."""
-    return HierarchyConfig(
-        l1=CacheConfig(32 * 1024, 4, 64, "lru", name="L1"),
-        l2=CacheConfig(256 * 1024, 4, 64, "lru", name="L2"),
-    )
-
-
-def scaled_config(size_bytes: int, assoc: int, block_size: int = 16,
-                  policy: str = "lru", name: str = "L1") -> CacheConfig:
-    """Helper for the scaled-down experiment configurations."""
-    return CacheConfig(size_bytes, assoc, block_size, policy, name=name)

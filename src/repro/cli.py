@@ -897,7 +897,7 @@ def cmd_frontier(args) -> int:
 
         print(frontier_table(frontier, objectives))
         # Store-backed metrics ride in every record — surface the
-        # aggregate (warp-memo reuse, ILP pressure) without a flag.
+        # aggregate (decision-cache reuse, ILP pressure) without a flag.
         print()
         print(store_metrics_summary(records))
         if failed:

@@ -97,8 +97,9 @@ def _blank_state() -> dict:
         "current_engine": None,
         "current_started": None,
         "last_wall_s": None,
-        "memo": {},
         "ilp_solves": 0,
+        "decision_hits": 0,
+        "decision_misses": 0,
     }
 
 
@@ -134,11 +135,8 @@ def point_finished(record: dict) -> None:
         _STATE["last_wall_s"] = result["wall_time_s"]
     counters = result.get("counters") or {}
     _STATE["ilp_solves"] += counters.get("ilp.solves", 0)
-    memo = result.get("memo") or {}
-    state_memo = _STATE["memo"]
-    for field in ("value_hits", "value_misses",
-                  "pattern_hits", "pattern_misses"):
-        state_memo[field] = state_memo.get(field, 0) + memo.get(field, 0)
+    _STATE["decision_hits"] += counters.get("isl.memo_hits", 0)
+    _STATE["decision_misses"] += counters.get("isl.memo_misses", 0)
     _STATE["current_key"] = None
     _STATE["current_kernel"] = None
     _STATE["current_engine"] = None
@@ -170,11 +168,9 @@ def _cpu_s() -> float:
     return round(times.user + times.system, 3)
 
 
-def _memo_hit_rate(memo: dict) -> Optional[float]:
-    lookups = memo.get("value_hits", 0) + memo.get("value_misses", 0)
-    if not lookups:
-        return None
-    return round(memo.get("value_hits", 0) / lookups, 4)
+def _hit_rate(hits: int, misses: int) -> Optional[float]:
+    lookups = hits + misses
+    return round(hits / lookups, 4) if lookups else None
 
 
 def heartbeat_record(state: dict, interval: float) -> dict:
@@ -198,9 +194,9 @@ def heartbeat_record(state: dict, interval: float) -> dict:
         "last_wall_s": state["last_wall_s"],
         "rss_kb": _rss_kb(),
         "cpu_s": _cpu_s(),
-        "memo": dict(state["memo"]),
-        "memo_hit_rate": _memo_hit_rate(state["memo"]),
         "ilp_solves": state["ilp_solves"],
+        "decision_hit_rate": _hit_rate(state["decision_hits"],
+                                       state["decision_misses"]),
     }
     return {
         "key": WORKER_KEY_PREFIX + str(state["worker"]),
@@ -297,11 +293,17 @@ def stop_heartbeats(timeout: float = 2.0) -> None:
 
 
 def pool_worker_init(store_path: str, interval: float) -> None:
-    """``multiprocessing.Pool`` initializer for heartbeat-enabled sweeps."""
+    """``multiprocessing.Pool`` initializer for heartbeat-enabled sweeps.
+
+    Registers :func:`stop_heartbeats` as a worker-exit finalizer, so a
+    worker's final heartbeat is flushed before the process ends.
+    """
     import multiprocessing
+    from multiprocessing.util import Finalize
 
     start_heartbeats(store_path, interval,
                      worker=multiprocessing.current_process().name)
+    Finalize(None, stop_heartbeats, exitpriority=10)
 
 
 # -- campaign metadata -------------------------------------------------------
@@ -516,8 +518,8 @@ def campaign_registry(store: ResultStore,
 
     The registry carries campaign progress (counters by status), the
     per-point wall-time histogram, aggregated engine counters
-    (``ilp.solves`` and friends), warp-memo reuse, and per-worker
-    health gauges from the heartbeats — ready for
+    (``ilp.solves``, the decision cache's ``isl.memo_hits`` and
+    friends), and per-worker health gauges from the heartbeats — ready for
     :func:`repro.obs.export.to_prometheus` /
     :func:`repro.obs.export.append_series`.
     """
@@ -540,24 +542,14 @@ def campaign_registry(store: ResultStore,
         "repro_point_wall_seconds",
         "Per-point simulation wall time.", buckets=DEFAULT_BUCKETS)
     counters_sum: Dict[str, int] = {}
-    memo_sum: Dict[str, int] = {}
     for record in store.ok_records():
         result = record.get("result") or {}
         if result.get("wall_time_s") is not None:
             wall.labels().observe(result["wall_time_s"])
         for name, value in (result.get("counters") or {}).items():
             counters_sum[name] = counters_sum.get(name, 0) + value
-        for name, value in (result.get("memo") or {}).items():
-            if isinstance(value, int):
-                memo_sum[name] = memo_sum.get(name, 0) + value
     registry.ingest_counters(counters_sum, prefix="repro_",
                              suffix="_total")
-
-    memo = registry.counter("repro_memo_total",
-                            "Warp-memo lookups by outcome.", ("outcome",))
-    for name in ("value_hits", "value_misses",
-                 "pattern_hits", "pattern_misses"):
-        memo.labels(outcome=name).inc(memo_sum.get(name, 0))
 
     worker_rss = registry.gauge("repro_worker_rss_kbytes",
                                 "Worker resident set size.", ("worker",))

@@ -143,7 +143,7 @@ def workers_table(workers: Sequence[dict]) -> str:
     """Per-worker heartbeat table for ``repro monitor``."""
     rows = []
     for beat in workers:
-        memo_rate = beat.get("memo_hit_rate")
+        hit_rate = beat.get("decision_hit_rate")
         rows.append([
             beat.get("worker", "?"),
             beat.get("pid", "?"),
@@ -156,13 +156,13 @@ def workers_table(workers: Sequence[dict]) -> str:
              else f"{beat['rss_kb'] / 1024:.0f}"),
             ("-" if beat.get("cpu_s") is None
              else f"{beat['cpu_s']:.1f}"),
-            "-" if memo_rate is None else f"{100 * memo_rate:.1f}%",
+            "-" if hit_rate is None else f"{100 * hit_rate:.1f}%",
             "stale" if beat.get("stale") else
             f"{_fmt_duration(beat.get('age_s'))} ago",
         ])
     return format_table(
         ["worker", "pid", "ok", "fail", "running", "for", "rss MB",
-         "cpu s", "memo hit", "heartbeat"],
+         "cpu s", "decision hit", "heartbeat"],
         rows, title="workers")
 
 
@@ -216,25 +216,22 @@ def monitor_view(status: dict) -> str:
 def store_metrics_summary(records: Sequence[dict]) -> str:
     """One aggregate metrics line over successful sweep records.
 
-    Surfaces the store-backed per-point metrics (warp-memo reuse and
-    ILP solver pressure) in ``repro frontier`` without another flag:
-    the data already rides in each record's ``result.memo`` /
-    ``result.counters`` sections.
+    Surfaces the store-backed per-point metrics (decision-cache reuse
+    and ILP solver pressure) in ``repro frontier`` without another
+    flag: the data already rides in each record's ``result.counters``.
     """
     hits = misses = solves = 0
     for record in records:
-        result = record.get("result") or {}
-        memo = result.get("memo") or {}
-        hits += memo.get("value_hits", 0)
-        misses += memo.get("value_misses", 0)
-        counters = result.get("counters") or {}
+        counters = (record.get("result") or {}).get("counters") or {}
+        hits += counters.get("isl.memo_hits", 0)
+        misses += counters.get("isl.memo_misses", 0)
         solves += counters.get("ilp.solves", 0)
     lookups = hits + misses
-    memo_part = ("memo value hit-rate -"
-                 if not lookups else
-                 f"memo value hit-rate {100 * hits / lookups:.1f}% "
-                 f"({hits}/{lookups})")
-    return (f"metrics: {memo_part}, ilp solves {solves}, "
+    hit_part = ("decision-cache hit-rate -"
+                if not lookups else
+                f"decision-cache hit-rate {100 * hits / lookups:.1f}% "
+                f"({hits}/{lookups})")
+    return (f"metrics: {hit_part}, ilp solves {solves}, "
             f"{len(records)} points")
 
 

@@ -68,6 +68,9 @@ def map_parallel(fn: Callable, tasks: Sequence,
     ``initargs`` are forwarded to the pool (each worker process runs it
     once at start-up); they are *not* invoked on the inline path —
     callers that need per-process setup inline must do it themselves.
+    Workers exit normally (``close`` + ``join``) rather than being
+    terminated, so their exit finalizers — e.g. a final heartbeat
+    flush — run.
     """
     tasks = list(tasks)
     if workers > 1 and len(tasks) > 1 and not in_daemon_worker():
@@ -77,6 +80,8 @@ def map_parallel(fn: Callable, tasks: Sequence,
                                   initargs=initargs) as pool:
             for record in pool.imap_unordered(fn, tasks):
                 consume(record)
+            pool.close()
+            pool.join()
     else:
         for task in tasks:
             consume(fn(task))
@@ -158,8 +163,7 @@ def result_payload(result: SimulationResult,
 
 
 def run_engine(scop, config, engine: str,
-               enable_warping: bool = True,
-               memo=None) -> SimulationResult:
+               enable_warping: bool = True) -> SimulationResult:
     """Dispatch one simulation engine on (scop, config).
 
     The single engine-name -> simulator mapping, shared by the CLI's
@@ -167,8 +171,6 @@ def run_engine(scop, config, engine: str,
     engine, ``enable_warping=False`` runs its ablation mode (symbolic
     simulation without warping — Algorithm 1 semantics, warp machinery
     off); the other engines never warp, so the flag is moot there.
-    ``memo`` is an optional warp-analysis memo provider for the warping
-    engine (see :class:`repro.perf.memo.WarpMemo`).
     """
     # Imported lazily so worker processes pay the cost once each, and so
     # the module stays importable without pulling every engine in.
@@ -182,8 +184,7 @@ def run_engine(scop, config, engine: str,
                   if isinstance(config, HierarchyConfig)
                   else Cache(config))
         return simulate_nonwarping(scop, target)
-    return simulate_warping(scop, config, enable_warping=enable_warping,
-                            memo=memo)
+    return simulate_warping(scop, config, enable_warping=enable_warping)
 
 
 def simulate_point(point: SweepPoint,
@@ -193,11 +194,10 @@ def simulate_point(point: SweepPoint,
     With ``workers > 1`` the concrete and warping engines run
     set-sharded across a worker pool (see
     :func:`repro.perf.shard_simulate`); results are bit-identical to
-    the sequential run.  Warping simulations consult the
-    process-global :class:`~repro.perf.memo.WarpMemo` (the shard
-    workers each hold their own), so a sweep revisiting the same
-    access pattern (e.g. many cache sizes for one kernel and
-    transform) does not recompute its warp-interval analyses.
+    the sequential run.  A sweep revisiting the same access pattern
+    (e.g. many cache sizes for one kernel and transform) answers its
+    warp analyses' set queries from the process-wide decision cache of
+    :mod:`repro.isl.sets`.
     """
     from repro.polybench import build_kernel
 
@@ -209,34 +209,7 @@ def simulate_point(point: SweepPoint,
 
         return shard_simulate(scop, config, engine=point.engine,
                               workers=workers)
-    memo = None
-    if point.engine == "warping":
-        from repro.perf.memo import global_memo
-
-        memo = global_memo().for_simulation(scop, config)
-    return run_engine(scop, config, point.engine, memo=memo)
-
-
-_MEMO_STAT_KEYS = ("pattern_hits", "pattern_misses",
-                   "value_hits", "value_misses")
-
-
-def _memo_stats() -> dict:
-    from repro.perf.memo import global_memo
-
-    return global_memo().stats.to_dict()
-
-
-def _memo_delta(before: dict) -> dict:
-    """Warp-memo reuse attributable to the point just simulated.
-
-    Delta of this process's global memo counters — zero for sharded
-    points whose shards ran in pool workers (their reuse shows up in
-    the point's ``memo.*`` counters instead).
-    """
-    after = _memo_stats()
-    return {key: after[key] - before.get(key, 0)
-            for key in _MEMO_STAT_KEYS}
+    return run_engine(scop, config, point.engine)
 
 
 class _PointTimeout(Exception):
@@ -321,7 +294,6 @@ def _run_point_guarded(point: SweepPoint,
                 # main interpreter; degrade to best-effort (no
                 # deadline) as documented instead of erroring out.
                 use_alarm = False
-        memo_before = _memo_stats()
         # Every point is profiled with its own tracer: the per-point
         # phase/counter breakdown rides along in the store record (the
         # content key hashes only the point itself, so old stores still
@@ -337,11 +309,6 @@ def _run_point_guarded(point: SweepPoint,
         payload = result_payload(result)
         payload["phases"] = tracer.phase_totals()
         payload["counters"] = dict(sorted(tracer.counters.items()))
-        memo = _memo_delta(memo_before)
-        lookups = memo["value_hits"] + memo["value_misses"]
-        memo["value_hit_rate"] = (round(memo["value_hits"] / lookups, 4)
-                                  if lookups else None)
-        payload["memo"] = memo
         return make_record(point, STATUS_OK, result=payload)
     except _PointTimeout:
         _disarm_alarm()

@@ -22,8 +22,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cache.config import (
     CacheConfig,
@@ -432,10 +432,6 @@ class SweepSpec:
     def from_file(path: str) -> Union["SweepSpec", "SweepUnion"]:
         with open(path) as handle:
             return SweepSpec.from_json(handle.read())
-
-    def with_engines(self, engines: Sequence[str]) -> "SweepSpec":
-        """A copy of the spec restricted to the given engines."""
-        return replace(self, engines=list(engines))
 
 
 @dataclass

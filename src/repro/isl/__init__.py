@@ -9,8 +9,7 @@ warping cache simulation needs:
   certificates (:mod:`repro.isl.ilp`),
 * a dependency-free certificate verifier (:mod:`repro.isl.certify`),
 * quantified basic sets and finite unions with intersection, subtraction,
-  emptiness, sampling and lexicographic optimisation (:mod:`repro.isl.sets`),
-* Presburger maps/relations (:mod:`repro.isl.maps`).
+  emptiness, sampling and lexicographic optimisation (:mod:`repro.isl.sets`).
 
 All arithmetic is performed over :class:`int` / :class:`fractions.Fraction`,
 so every answer is exact; there is no floating-point error anywhere in the
@@ -38,11 +37,7 @@ from repro.isl.sets import (
     Set,
     clear_decision_cache,
     decision_cache_size,
-    lex_lt_set,
-    lex_le_set,
-    lex_interval,
 )
-from repro.isl.maps import BasicMap, Map
 
 __all__ = [
     "LinExpr",
@@ -51,17 +46,12 @@ __all__ = [
     "IlpResult",
     "BasicSet",
     "Set",
-    "BasicMap",
-    "Map",
     "BranchCertificate",
     "CertificateError",
     "FarkasCertificate",
     "PrimalCertificate",
     "clear_decision_cache",
     "decision_cache_size",
-    "lex_lt_set",
-    "lex_le_set",
-    "lex_interval",
     "verification",
     "verification_enabled",
     "verify_result",

@@ -653,56 +653,6 @@ class Set:
         return f"Set({len(self.pieces)} pieces over {list(self.dims)})"
 
 
-# -- lexicographic-order helpers ---------------------------------------------------
-
-
-def lex_lt_set(dims: Sequence[str], point: Sequence[int]) -> Set:
-    """``{x | x lex< point}`` as a union of basic sets (prefix split)."""
-    dims = tuple(dims)
-    pieces = []
-    for k in range(len(dims)):
-        eqs = [LinExpr.var(dims[j]) - point[j] for j in range(k)]
-        # x_k <= point_k - 1
-        ineq = -LinExpr.var(dims[k]) + (point[k] - 1)
-        pieces.append(BasicSet(dims, eqs=eqs, ineqs=[ineq]))
-    return Set(dims, pieces)
-
-
-def lex_le_set(dims: Sequence[str], point: Sequence[int]) -> Set:
-    """``{x | x lex<= point}``."""
-    dims = tuple(dims)
-    result = lex_lt_set(dims, point)
-    eqs = [LinExpr.var(d) - v for d, v in zip(dims, point)]
-    return result.union(Set(dims, [BasicSet(dims, eqs=eqs)]))
-
-
-def lex_gt_set(dims: Sequence[str], point: Sequence[int]) -> Set:
-    """``{x | x lex> point}``."""
-    dims = tuple(dims)
-    pieces = []
-    for k in range(len(dims)):
-        eqs = [LinExpr.var(dims[j]) - point[j] for j in range(k)]
-        ineq = LinExpr.var(dims[k]) - (point[k] + 1)
-        pieces.append(BasicSet(dims, eqs=eqs, ineqs=[ineq]))
-    return Set(dims, pieces)
-
-
-def lex_ge_set(dims: Sequence[str], point: Sequence[int]) -> Set:
-    """``{x | x lex>= point}``."""
-    dims = tuple(dims)
-    result = lex_gt_set(dims, point)
-    eqs = [LinExpr.var(d) - v for d, v in zip(dims, point)]
-    return result.union(Set(dims, [BasicSet(dims, eqs=eqs)]))
-
-
-def lex_interval(dims: Sequence[str], lo: Sequence[int],
-                 hi: Sequence[int], include_hi: bool = False) -> Set:
-    """``interval(lo, hi) = {x | lo lex<= x lex< hi}`` (per the paper)."""
-    lower = lex_ge_set(dims, lo)
-    upper = lex_le_set(dims, hi) if include_hi else lex_lt_set(dims, hi)
-    return lower.intersect(upper)
-
-
 def _floor_div(a, b: int) -> int:
     """Floored division that also works for Fractions."""
     if isinstance(a, int):

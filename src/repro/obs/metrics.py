@@ -25,7 +25,7 @@ processes via :meth:`MetricRegistry.snapshot` /
 gauges take the incoming (newer) value.  :meth:`MetricRegistry.ingest_tracer`
 folds a tracer's named counters in as proper counter families, so
 everything the PR 5 instrumentation already counts (``ilp.solves``,
-``memo.value_hits``, ...) is exportable without touching the engines.
+``isl.memo_hits``, ...) is exportable without touching the engines.
 
 >>> registry = MetricRegistry()
 >>> points = registry.counter("repro_points_total",

@@ -11,7 +11,7 @@ A :class:`Tracer` records two kinds of facts about a run:
   ``max_events``) so a run can be exported as a Chrome trace.
 * **counters** — named monotonically increasing integers bumped with
   :meth:`Tracer.count` (``ilp.pivots``, ``isl.set_ops``,
-  ``memo.value_hits``, ...).
+  ``isl.memo_hits``, ...).
 
 Hot code that cannot afford a context manager per operation uses
 :meth:`Tracer.add_time`, which attributes an externally measured
@@ -170,11 +170,6 @@ class Tracer:
             self.events.append((path, handle.start - self.epoch, duration))
         else:
             self.dropped_events += 1
-
-    @property
-    def current_path(self) -> SpanPath:
-        """Path of the innermost open span (empty at the root)."""
-        return self._path
 
     # -- aggregate views -----------------------------------------------------
 

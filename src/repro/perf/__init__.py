@@ -7,9 +7,6 @@ large campaigns:
   partition the cache-set space into K independent shards, simulate
   each in a worker process, merge per-level stats (bit-identical to
   sequential runs).
-* :mod:`repro.perf.memo` — warp-interval memoization across sweep
-  points, keyed by (policy, associativity, canonical access-pattern
-  signature).
 * :mod:`repro.perf.bench` — the ``repro bench`` harness writing a
   schema'd ``BENCH_PR*.json`` performance trajectory.
 * :mod:`repro.perf.regress` — the regression gate diffing a fresh
@@ -17,21 +14,16 @@ large campaigns:
   (``repro bench --compare``).
 """
 
-from repro.perf.memo import WarpMemo, global_memo
 from repro.perf.regress import (
     compare_payloads,
     inject_slowdown,
     regression_table,
 )
 from repro.perf.sharding import shard_simulate
-from repro.perf.signature import scop_signature
 
 __all__ = [
-    "WarpMemo",
     "compare_payloads",
-    "global_memo",
     "inject_slowdown",
     "regression_table",
-    "scop_signature",
     "shard_simulate",
 ]

@@ -21,11 +21,11 @@ Measured per kernel:
   semantics),
 * the warping engine's speedup over the concrete baseline,
 
-plus one memoization scenario: a mini-sweep over L1 capacities with a
-cold vs a warm :class:`~repro.perf.memo.WarpMemo`, and one *profiled*
-warping run per kernel whose span breakdown lands in the payload's
-``phases`` section (see :func:`repro.obs.profile.phases_payload`) —
-the timed scenarios themselves always run with tracing disabled.
+plus one decision-cache scenario (a cold vs a warm canonical-form
+decision cache of :mod:`repro.isl.sets`), and one *profiled* warping
+run per kernel whose span breakdown lands in the payload's ``phases``
+section (see :func:`repro.obs.profile.phases_payload`) — the timed
+scenarios themselves always run with tracing disabled.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Dict, List, Optional
 from repro import obs
 from repro.cache.cache import Cache
 from repro.obs.profile import phases_payload
-from repro.perf.memo import WarpMemo
 from repro.perf.schema import SCHEMA_NAME, validate_bench
 from repro.perf.sharding import shard_simulate
 from repro.perf.workloads import SCALED_L, scaled_l1
@@ -53,18 +52,21 @@ BENCH_KERNELS = ["jacobi-2d", "seidel-2d", "heat-3d",
 #: CI smoke subset.
 QUICK_KERNELS = ["jacobi-2d", "atax"]
 
-#: L1 capacities of the memoization mini-sweep.
-MEMO_SIZES = [1024, 2048, 4096]
 
+def _timed(fn, repeat: int, setup=None):
+    """Best-of-``repeat`` wall time of ``fn()`` with GC parked.
 
-def _timed(fn, repeat: int):
-    """Best-of-``repeat`` wall time of ``fn()`` with GC parked."""
+    ``setup()``, when given, runs before every repetition, outside the
+    timed region.
+    """
     best = None
     result = None
     enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(max(1, repeat)):
+            if setup is not None:
+                setup()
             start = time.perf_counter()
             result = fn()
             elapsed = time.perf_counter() - start
@@ -93,47 +95,19 @@ def _machine_info() -> Dict[str, object]:
     }
 
 
-def _memo_scenario(repeat: int) -> Dict[str, float]:
-    """Warping mini-sweep over L1 sizes, cold vs warm memo."""
-    from repro.cache.config import CacheConfig
-    from repro.polybench import build_kernel
-    from repro.simulation import simulate_warping
-
-    memo = WarpMemo()
-    kernel = "lu"
-    size = SCALED_L[kernel]
-
-    def one_pass() -> None:
-        for l1_size in MEMO_SIZES:
-            config = CacheConfig(l1_size, 8, 32, "plru", name="L1")
-            scop = build_kernel(kernel, size)  # rebuilt per point, as sweeps do
-            simulate_warping(scop, config,
-                             memo=memo.for_simulation(scop, config))
-
-    _, cold_s = _timed(one_pass, 1)
-    _, warm_s = _timed(one_pass, repeat)
-    return {
-        "kernel": kernel,
-        "l1_sizes": MEMO_SIZES,
-        "cold_s": round(cold_s, 6),
-        "warm_s": round(warm_s, 6),
-        "speedup": round(cold_s / max(warm_s, 1e-9), 3),
-        "stats": memo.stats.to_dict(),
-    }
-
-
 def _lp_scenario(repeat: int) -> Dict[str, object]:
     """Certified-LP-core mini-scenario: decision cache cold vs warm.
 
-    Runs the same (kernel, config) warping simulation twice in one
-    process.  The first run populates the canonical-form decision cache
-    (all misses); the second — as sweeps over structurally identical
-    SCoPs do — answers every set query from the cache, so its ILP count
-    drops to zero.  Counters come from the certified core
-    (``ilp.warm_starts``, ``ilp.pivots``) and the memo
+    Times the same (kernel, config) warping simulation cold and warm
+    in one process.  Each of the ``repeat`` cold runs starts from an
+    empty canonical-form decision cache (cleared outside the timed
+    region), so every one pays its own ILP solves; the cold counters
+    sum over those runs.  The warm run — as sweeps over structurally
+    identical SCoPs do — answers every set query from the cache, so its
+    ILP count drops to zero.  Counters come from the certified core
+    (``ilp.warm_starts``, ``ilp.pivots``) and the decision cache
     (``isl.memo_hits`` / ``isl.memo_misses``).
     """
-    from repro.cache.config import CacheConfig
     from repro.isl.sets import clear_decision_cache, decision_cache_size
     from repro.polybench import build_kernel
     from repro.simulation import simulate_warping
@@ -141,10 +115,10 @@ def _lp_scenario(repeat: int) -> Dict[str, object]:
     kernel = "gemm"
     size = SCALED_L[kernel]
     config = scaled_l1()
-    clear_decision_cache()
     with obs.collect() as cold:
         scop = build_kernel(kernel, size)
-        _, cold_s = _timed(lambda: simulate_warping(scop, config), repeat)
+        _, cold_s = _timed(lambda: simulate_warping(scop, config), repeat,
+                           setup=clear_decision_cache)
     with obs.collect() as warm:
         scop = build_kernel(kernel, size)
         _, warm_s = _timed(lambda: simulate_warping(scop, config), 1)
@@ -160,6 +134,7 @@ def _lp_scenario(repeat: int) -> Dict[str, object]:
         "memo_misses": misses,
         "hit_rate": round(hits / total, 4) if total else 0.0,
         "cache_entries": decision_cache_size(),
+        "cold_runs": max(1, repeat),
         "ilp_solves_cold": cold.counters.get("ilp.solves", 0),
         "ilp_solves_warm": warm.counters.get("ilp.solves", 0),
         "warm_starts": cold.counters.get("ilp.warm_starts", 0),
@@ -275,7 +250,6 @@ def run_bench(workers: int = 4, shards: Optional[int] = None,
                 _geomean(tree_speedups), 3),
             "warping_speedup_geomean": round(
                 _geomean(warp_speedups), 3),
-            "memo": _memo_scenario(repeat),
             "lp": _lp_scenario(repeat),
         },
     }
@@ -310,21 +284,18 @@ def bench_summary(payload: dict) -> str:
             f"  {tag} {scenario['wall_s']:8.3f}s "
             f"{scenario['accesses_per_s']:12.0f} acc/s{extra}")
     summary = payload["summary"]
-    memo = summary["memo"]
     lines.append(
         f"  sharded tree speedup: min "
         f"{summary['sharded_tree_speedup_min']:.2f}x, geomean "
         f"{summary['sharded_tree_speedup_geomean']:.2f}x "
         f"(critical path); warping geomean "
         f"{summary['warping_speedup_geomean']:.2f}x")
-    lines.append(
-        f"  warp memo: cold {memo['cold_s']:.3f}s -> warm "
-        f"{memo['warm_s']:.3f}s ({memo['speedup']:.2f}x)")
     lp = summary.get("lp")
     if lp:
         lines.append(
-            f"  decision cache: cold {lp['ilp_solves_cold']} ilp "
-            f"solves -> warm {lp['ilp_solves_warm']} "
+            f"  decision cache: {lp.get('cold_runs', 1)} cold run(s) "
+            f"{lp['ilp_solves_cold']} ilp solves -> warm "
+            f"{lp['ilp_solves_warm']} "
             f"({lp['memo_hits']} hits / {lp['memo_misses']} misses, "
             f"hit rate {100.0 * lp['hit_rate']:.0f}%)")
     if payload.get("phases"):

@@ -1,206 +1,19 @@
-"""Warp-interval memoization across sweep points (repro.perf).
+"""Import shim for the benchmark's cache reset.
 
-The warping simulator's cost on warp-friendly programs is dominated by
-its polyhedral applicability analyses: region emptiness, touched-block
-hulls, overlap conflicts and the FurthestByDomains/FurthestByOverlap
-warp-interval bounds.  All of these are deterministic functions of the
-SCoP structure (plus the block size for the block-space values) — they
-do not depend on the cache contents.  A design-space sweep rebuilds the
-same kernels over and over (one point per cache size, associativity,
-policy, ...), so without memoization every point recomputes identical
-warp intervals.
-
-:class:`WarpMemo` keys memoised analyses by
-``(policy, associativity, canonical access-pattern signature)`` — the
-signature (:func:`repro.perf.signature.scop_signature`) covers the loop
-tree, domains, access functions and problem sizes, and the block size
-rides along with the policy/associativity tuple since hulls live in
-block space.  Within one key, values are stored per ``(loop, prefix)``
-scope, mirroring the per-loop-execution analysis caches of the warping
-runner.  Sharing a memo across runs can therefore never change
-simulation results, only skip recomputation.
-
-A process-global instance (:func:`global_memo`) is consulted by
-:func:`repro.explore.runner.simulate_point`, so sweep workers
-accumulate reuse across all the points they process.
+The cross-run warp-analysis memo (``WarpMemo``) that lived here is
+gone: the canonical decision cache of :mod:`repro.isl.sets` answers the
+same queries.  ``perfbench/measure.py`` still imports
+:func:`global_memo` and calls ``.clear()`` before every timed run; that
+import is this module's only reason to exist, and it goes when the
+benchmark drops it.
 """
 
-from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
-
-from repro import obs
-from repro.cache.config import CacheConfig, HierarchyConfig
-from repro.perf.signature import scop_signature
-
-
-@dataclass
-class MemoStats:
-    """Approximate reuse counters of one :class:`WarpMemo`.
-
-    ``value_hits``/``value_misses`` count analysis-cache lookups (a hit
-    means a polyhedral computation was skipped); ``pattern_hits``/
-    ``pattern_misses`` count whole-simulation key lookups.
-    """
-
-    pattern_hits: int = 0
-    pattern_misses: int = 0
-    value_hits: int = 0
-    value_misses: int = 0
-    scopes: int = 0
-    evicted_patterns: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "pattern_hits": self.pattern_hits,
-            "pattern_misses": self.pattern_misses,
-            "value_hits": self.value_hits,
-            "value_misses": self.value_misses,
-            "scopes": self.scopes,
-            "evicted_patterns": self.evicted_patterns,
-        }
-
-
-class _ScopeDict(dict):
-    """A per-(loop, prefix) analysis cache that counts its lookups."""
-
-    __slots__ = ("_stats",)
-
-    def __init__(self, stats: MemoStats):
-        super().__init__()
-        self._stats = stats
-
-    def __contains__(self, key) -> bool:
-        found = dict.__contains__(self, key)
-        if found:
-            self._stats.value_hits += 1
-            obs.count("memo.value_hits")
-        else:
-            self._stats.value_misses += 1
-            obs.count("memo.value_misses")
-        return found
-
-    def get(self, key, default=None):
-        value = dict.get(self, key, _MISSING)
-        if value is _MISSING:
-            self._stats.value_misses += 1
-            obs.count("memo.value_misses")
-            return default
-        self._stats.value_hits += 1
-        obs.count("memo.value_hits")
-        return value
-
-
-_MISSING = object()
-
-
-class _PatternMemo:
-    """Scopes of one (policy, assoc, signature) key."""
-
-    __slots__ = ("scopes",)
-
-    def __init__(self):
-        self.scopes: Dict[Tuple, _ScopeDict] = {}
-
-    def loop_scope(self, memo: "WarpMemo", loop_key: int,
-                   prefix: Tuple[int, ...]):
-        key = (loop_key, prefix)
-        scope = self.scopes.get(key)
-        if scope is None:
-            if memo.stats.scopes >= memo.max_scopes:
-                # Memory cap reached: hand out a throwaway cache (the
-                # simulation still gets per-execution caching).
-                return {}
-            scope = _ScopeDict(memo.stats)
-            self.scopes[key] = scope
-            memo.stats.scopes += 1
-        return scope
-
-
-class _SimulationMemo:
-    """The provider handed to one warping run (bound to one pattern)."""
-
-    __slots__ = ("_memo", "_pattern")
-
-    def __init__(self, memo: "WarpMemo", pattern: _PatternMemo):
-        self._memo = memo
-        self._pattern = pattern
-
-    def loop_scope(self, loop_key: int, prefix: Tuple[int, ...]):
-        return self._pattern.loop_scope(self._memo, loop_key, prefix)
-
-
-class WarpMemo:
-    """Cross-run memo for the warping engine's polyhedral analyses.
-
-    >>> from repro import CacheConfig, build_kernel, simulate_warping
-    >>> from repro.perf.memo import WarpMemo
-    >>> memo = WarpMemo()
-    >>> config = CacheConfig(1024, 4, 32, "lru")
-    >>> cold = simulate_warping(build_kernel("jacobi-1d", "MINI"), config,
-    ...                         memo=memo.for_simulation(
-    ...                             build_kernel("jacobi-1d", "MINI"), config))
-    >>> warm = simulate_warping(build_kernel("jacobi-1d", "MINI"), config,
-    ...                         memo=memo.for_simulation(
-    ...                             build_kernel("jacobi-1d", "MINI"), config))
-    >>> cold.l1_misses == warm.l1_misses
-    True
-    >>> memo.stats.pattern_hits >= 1 and memo.stats.value_hits > 0
-    True
-    """
-
-    def __init__(self, max_patterns: int = 64, max_scopes: int = 65536):
-        self.max_patterns = max_patterns
-        self.max_scopes = max_scopes
-        self.stats = MemoStats()
-        self._patterns: "OrderedDict[Tuple, _PatternMemo]" = OrderedDict()
-
-    @staticmethod
-    def _config_key(config: Union[CacheConfig, HierarchyConfig]) -> Tuple:
-        levels = (config.levels if isinstance(config, HierarchyConfig)
-                  else (config,))
-        policies = tuple(level.policy for level in levels)
-        assocs = tuple(level.assoc for level in levels)
-        # Hulls and overlap conflicts live in block space, so the block
-        # size is part of the key; shard modulus/residue are NOT — every
-        # memoised value is full-block-space, so shards share entries.
-        return (policies, assocs, levels[0].block_size)
-
-    def for_simulation(self, scop,
-                       config: Union[CacheConfig, HierarchyConfig]
-                       ) -> _SimulationMemo:
-        """The memo provider for one (scop, config) simulation."""
-        policies, assocs, block_size = self._config_key(config)
-        key = (policies, assocs, scop_signature(scop), block_size)
-        pattern = self._patterns.get(key)
-        if pattern is None:
-            self.stats.pattern_misses += 1
-            obs.count("memo.pattern_misses")
-            while len(self._patterns) >= self.max_patterns:
-                _, evicted = self._patterns.popitem(last=False)
-                self.stats.scopes -= len(evicted.scopes)
-                self.stats.evicted_patterns += 1
-            pattern = _PatternMemo()
-            self._patterns[key] = pattern
-        else:
-            self.stats.pattern_hits += 1
-            obs.count("memo.pattern_hits")
-            self._patterns.move_to_end(key)
-        return _SimulationMemo(self, pattern)
-
+class _NoMemo:
     def clear(self) -> None:
-        self._patterns.clear()
-        self.stats = MemoStats()
+        pass
 
 
-_GLOBAL_MEMO: Optional[WarpMemo] = None
-
-
-def global_memo() -> WarpMemo:
-    """The process-wide memo used by sweep workers (lazily created)."""
-    global _GLOBAL_MEMO
-    if _GLOBAL_MEMO is None:
-        _GLOBAL_MEMO = WarpMemo()
-    return _GLOBAL_MEMO
+def global_memo() -> _NoMemo:
+    """An object whose ``clear()`` does nothing."""
+    return _NoMemo()

@@ -14,8 +14,8 @@ deliberately conservative about what it compares:
   CPU count) — comparing seconds across hosts is meaningless.  Tiny
   scenarios (below ``min_wall_s``) are skipped outright: a 20 ms
   measurement regressing to 35 ms is timer noise, not a finding.
-* **Dimensionless speedups** (``speedup_vs_sequential``, the summary
-  geomeans, the warm-memo speedup) are ratios of two timings taken on
+* **Dimensionless speedups** (``speedup_vs_sequential`` and the
+  summary geomeans) are ratios of two timings taken on
   the *same* host in the *same* run, so they transfer across machines
   and are always gated.
 * With several baselines, each metric is compared against its **most
@@ -54,8 +54,7 @@ DEFAULT_THRESHOLD = 1.5
 #: Wall-clock scenarios faster than this are never gated (timer noise).
 DEFAULT_MIN_WALL_S = 0.05
 
-#: Wall-clock fields scaled by :func:`inject_slowdown` (top-level
-#: scenario seconds plus the memo scenario's cold/warm pair).
+#: Wall-clock fields scaled by :func:`inject_slowdown`.
 _WALL_FIELDS = ("wall_s", "critical_path_s")
 
 
@@ -98,11 +97,6 @@ def inject_slowdown(payload: dict, factor: float) -> dict:
         if "accesses_per_s" in scenario:
             scenario["accesses_per_s"] = round(
                 scenario["accesses_per_s"] / factor, 1)
-    memo = (slowed.get("summary") or {}).get("memo")
-    if memo:
-        for fieldname in ("cold_s", "warm_s"):
-            if fieldname in memo:
-                memo[fieldname] = round(memo[fieldname] * factor, 6)
     return slowed
 
 
@@ -156,14 +150,6 @@ def _metric_rows(new: dict, baseline: dict,
                 "metric": metric, "new": new_value, "old": old_value,
                 "ratio": round(old_value / new_value, 3), "gated": True,
             })
-    old_memo = (old_summary.get("memo") or {}).get("speedup")
-    new_memo = (new_summary.get("memo") or {}).get("speedup")
-    if old_memo and new_memo:
-        rows.append({
-            "kernel": "-", "engine": "-", "mode": "summary",
-            "metric": "memo_speedup", "new": new_memo, "old": old_memo,
-            "ratio": round(old_memo / new_memo, 3), "gated": True,
-        })
     return rows
 
 

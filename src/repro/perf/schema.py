@@ -35,6 +35,11 @@ Since PR 10 the summary may carry an optional ``lp`` section — the
 certified-LP-core mini-scenario (decision-cache cold/warm timings and
 memo hit counters, see ``repro.perf.bench._lp_scenario``).  Earlier
 files remain valid without it.
+
+Older files also carry a summary ``memo`` section, the cold/warm
+timings of a cross-run warp-analysis memo that has since been removed
+(the decision cache answers the same queries).  It is no longer
+required or checked, so those files stay valid and new files omit it.
 """
 
 from __future__ import annotations
@@ -170,9 +175,6 @@ def validate_bench(payload: dict) -> List[dict]:
     summary = _require(payload, "summary", dict, "bench")
     for key, types in _SUMMARY_KEYS.items():
         _require(summary, key, types, "bench.summary")
-    memo = _require(summary, "memo", dict, "bench.summary")
-    for key in ("cold_s", "warm_s", "speedup"):
-        _require(memo, key, (int, float), "bench.summary.memo")
     lp = summary.get("lp")
     if lp is not None:
         if not isinstance(lp, dict):

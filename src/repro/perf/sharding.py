@@ -84,20 +84,10 @@ def _run_shard(task: dict) -> dict:
     try:
         cpu0 = time.process_time()
         with obs.Stopwatch(f"shard[{residue}]") as watch:
-            memo = None
-            if engine == "warping":
-                from repro.perf.memo import global_memo
-
-                # Memoised analyses are full-block-space facts, so
-                # shards share memo entries with each other and with
-                # unsharded runs; each (pool worker) process accumulates
-                # reuse across the shards and points it serves.
-                memo = global_memo().for_simulation(scop, sharded)
             # A target built from sharded configs performs (and counts)
             # only the accesses the shard owns, on either engine.
             result = run_engine(scop, sharded, engine,
-                                enable_warping=task["enable_warping"],
-                                memo=memo)
+                                enable_warping=task["enable_warping"])
         cpu_s = time.process_time() - cpu0
     finally:
         if local is not None:

@@ -60,9 +60,6 @@ class Array:
             addr = addr + expr * dim_stride
         return addr
 
-    def with_base(self, base: int) -> "Array":
-        return Array(self.name, self.extents, self.element_size, base)
-
 
 class MemoryLayout:
     """Assigns disjoint, block-aligned base addresses to arrays.

@@ -35,22 +35,6 @@ def _as_expr(value: ExprLike) -> LinExpr:
     return LinExpr.const(value)
 
 
-class _IterProxy:
-    """Attribute access on the builder returns iterator expressions."""
-
-    def __init__(self, builder: "ScopBuilder"):
-        object.__setattr__(self, "_builder", builder)
-
-    def __getattr__(self, name: str) -> LinExpr:
-        builder = object.__getattribute__(self, "_builder")
-        if name not in builder._open_iterators():
-            raise AttributeError(
-                f"iterator {name!r} is not in scope "
-                f"(open: {builder._open_iterators()})"
-            )
-        return LinExpr.var(name)
-
-
 class ScopBuilder:
     """Imperative construction of :class:`repro.polyhedral.Scop` trees.
 

@@ -100,12 +100,6 @@ class AccessNode:
             return True
         return self.domain.contains(point)
 
-    def domain_set(self, enclosing: BasicSet) -> BasicSet:
-        """Effective iteration domain (guard intersected with loop domain)."""
-        if self.domain is None:
-            return enclosing
-        return enclosing.intersect(self.domain)
-
     def coeff_on(self, dim: str) -> int:
         """Byte-address coefficient of iterator ``dim``."""
         try:

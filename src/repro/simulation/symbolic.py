@@ -99,12 +99,10 @@ class SymbolicSetState:
         own_index = depth - 1
         cached = self._key_cache.get(depth)
         if cached is None or cached[0] != self.version:
-            max_own = None
-            for sym in self.syms:
-                if sym is not None and len(sym[1]) > own_index:
-                    value = sym[1][own_index]
-                    if max_own is None or value > max_own:
-                        max_own = value
+            owns = [sym[1][own_index] for sym in self.syms
+                    if sym is not None and len(sym[1]) > own_index]
+            max_own = max(owns) if owns else None
+            after = own_index + 1
             sym_keys = []
             for sym in self.syms:
                 if sym is None:
@@ -112,13 +110,10 @@ class SymbolicSetState:
                     continue
                 node, point = sym
                 if len(point) > own_index:
-                    rel = tuple(
-                        value - max_own if k == own_index else value
-                        for k, value in enumerate(point)
-                    )
-                else:
-                    rel = point
-                sym_keys.append((id(node), rel))
+                    point = (point[:own_index]
+                             + (point[own_index] - max_own,)
+                             + point[after:])
+                sym_keys.append((id(node), point))
             cached = (self.version,
                       (self.policy_state, tuple(sym_keys)), max_own)
             self._key_cache[depth] = cached

@@ -25,16 +25,6 @@ def materialize_trace(scop: Scop, block_size: int) -> List[TraceEntry]:
     return list(iter_trace(scop, block_size))
 
 
-def trace_blocks(scop: Scop, block_size: int) -> "numpy.ndarray":
-    """The trace's block ids as a numpy int64 array (analytical models)."""
-    import numpy
-
-    return numpy.fromiter(
-        (block for block, _ in iter_trace(scop, block_size)),
-        dtype=numpy.int64,
-    )
-
-
 def _walk(node: Union[LoopNode, AccessNode], prefix: Tuple[int, ...],
           block_size: int) -> Iterator[TraceEntry]:
     if isinstance(node, AccessNode):

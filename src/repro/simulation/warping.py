@@ -50,8 +50,7 @@ TargetConfig = Union[CacheConfig, HierarchyConfig]
 
 
 def simulate_warping(scop: Scop, config: TargetConfig,
-                     enable_warping: bool = True,
-                     memo=None) -> SimulationResult:
+                     enable_warping: bool = True) -> SimulationResult:
     """Simulate ``scop`` with warping on a cache or hierarchy config.
 
     Hierarchies of any depth and every inclusion policy are supported;
@@ -64,12 +63,6 @@ def simulate_warping(scop: Scop, config: TargetConfig,
     :func:`repro.cache.config.shard_target_config`) simulates one set
     shard: only the accesses owned by the shard are performed and
     counted, and warping operates on the shard's rotation symmetry.
-
-    ``memo`` is an optional warp-analysis memo scope provider (an
-    object with ``loop_scope(loop_key, prefix) -> dict``); see
-    :class:`repro.perf.memo.WarpMemo`.  Memoised values are
-    deterministic polyhedral facts, so sharing a memo across runs never
-    changes results — only speed.
 
     Warping is exact: hit/miss counts match per-access simulation.
 
@@ -90,7 +83,7 @@ def simulate_warping(scop: Scop, config: TargetConfig,
         target = SingleLevel(config)
     span_name = "engine.warping" if enable_warping else "engine.symbolic"
     with obs.Stopwatch(span_name) as watch:
-        runner = _WarpingRunner(scop, target, enable_warping, memo=memo)
+        runner = _WarpingRunner(scop, target, enable_warping)
         for root in scop.roots:
             runner.run_node(root, ())
 
@@ -123,8 +116,7 @@ class _WarpingRunner:
 
     def __init__(self, scop: Scop,
                  target: Union[SingleLevel, SymbolicHierarchy],
-                 enable_warping: bool = True,
-                 memo=None):
+                 enable_warping: bool = True):
         self.scop = scop
         self.levels: List[SymbolicCache] = list(target.levels)
         self.block_size = self.levels[0].config.block_size
@@ -162,37 +154,11 @@ class _WarpingRunner:
         self._pair_disjoint: Dict[Tuple[int, int], bool] = {}
         # Per-loop-node count of executions that found no match at all.
         self._matchless_runs: Dict[int, int] = {}
-        # Stable node/loop keys (preorder indices): identical for every
-        # rebuild of the same SCoP, unlike id(), so they key the
-        # cross-run analysis memo.
-        self._memo = memo
-        self._node_key: Dict[int, int] = {
-            id(node): index
-            for index, node in enumerate(scop.access_nodes())
-        }
-        self._loop_key: Dict[int, int] = {
-            id(loop): index
-            for index, loop in enumerate(scop.loop_nodes())
-        }
 
     @property
     def accesses(self) -> int:
         """Accesses so far: performed explicitly plus warped."""
         return self.executor.accesses + self.warped_accesses
-
-    def _analysis_scope(self, loop: LoopNode,
-                        prefix: Tuple[int, ...]) -> Dict:
-        """Analysis cache for one loop execution.
-
-        Without a memo this is a fresh dict (each (loop, prefix) pair
-        executes once per simulation); with one, the same persistent
-        dict is handed out across simulations of structurally identical
-        SCoPs, so the polyhedral analyses are computed once per sweep
-        rather than once per point.
-        """
-        if self._memo is None:
-            return {}
-        return self._memo.loop_scope(self._loop_key[id(loop)], prefix)
 
     # -- tree walk (Algorithm 2) ------------------------------------------------
 
@@ -226,9 +192,8 @@ class _WarpingRunner:
         check_domain = not loop._bounds_exact
         had_match = False
         history: Dict[Tuple, Tuple[int, Tuple[Tuple[int, int], ...], int]] = {}
-        # Per-loop-execution caches for the polyhedral analyses
-        # (memo-backed and persistent across runs when a memo is set).
-        analysis_cache: Dict = self._analysis_scope(loop, prefix)
+        # Per-loop-execution cache for the polyhedral analyses.
+        analysis_cache: Dict = {}
         fail_streak = 0
         value = lo
         while value <= hi:
@@ -412,7 +377,7 @@ class _WarpingRunner:
                       prefix: Tuple[int, ...], i0: int, last: int,
                       analysis_cache: Dict) -> bool:
         """True if ``node`` performs no access for own-dim in [i0, last]."""
-        key = ("empty", self._node_key[id(node)], i0, last)
+        key = ("empty", id(node), i0, last)
         if key in analysis_cache:
             return analysis_cache[key]
         domain = node.full_domain
@@ -560,71 +525,6 @@ class _WarpingRunner:
             conflicts.append(ahi + 1)
         return min(conflicts) if conflicts else None
 
-    def _ilp_domain_conflict(self, loop: LoopNode, node: AccessNode,
-                             prefix: Tuple[int, ...], i0: int, i1: int,
-                             last: int, delta: int,
-                             analysis_cache: Dict) -> Optional[int]:
-        """Exact conflict set C_a via Presburger sets.
-
-        This is the paper's FurthestByDomains conflict set, verbatim.  The
-        simulator itself uses the static classification fast paths (every
-        "coupled" domain conflicts at the first candidate iteration); this
-        exact version is kept as the reference implementation and is
-        exercised against the fast paths by the test suite.
-        """
-        domain = node.full_domain
-        if domain is None:
-            return None
-        if domain.divs or domain.exists:
-            # Cannot negate; conservatively refuse to warp past i1.
-            return i1
-        key = ("dom", self._node_key[id(node)], i0, i1, delta)
-        if key in analysis_cache:
-            return analysis_cache[key]
-        own = loop.iterator
-        dims = node.dims
-        own_var = LinExpr.var(own)
-        base_eqs = [LinExpr.var(dim) - val
-                    for dim, val in zip(loop.dims[:-1], prefix)]
-        base_ineqs = [own_var - i1, -own_var + last]
-        # r = (own - i1) mod delta via the div q = floor((own - i1)/delta);
-        # every piece below shares this single div definition, so q is
-        # uniquely determined and negation can be pushed inside.
-        q_name = "$warp_q"
-        div = (q_name, own_var - i1, delta)
-        corr = own_var - i1 - LinExpr.var(q_name) * delta + i0
-        subst = {own: corr}
-        a_eqs = list(domain.eqs)
-        a_ineqs = list(domain.ineqs)
-        b_eqs = [e.substitute(subst) for e in domain.eqs]
-        b_ineqs = [e.substitute(subst) for e in domain.ineqs]
-
-        def negation_pieces(eqs, ineqs):
-            for eq in eqs:
-                yield [eq - 1]
-                yield [-eq - 1]
-            for ineq in ineqs:
-                yield [-ineq - 1]
-
-        conflict_min: Optional[int] = None
-        for pos_eqs, pos_ineqs, neg in (
-                (a_eqs, a_ineqs, negation_pieces(b_eqs, b_ineqs)),
-                (b_eqs, b_ineqs, negation_pieces(a_eqs, a_ineqs)),
-        ):
-            for neg_ineqs in neg:
-                piece = BasicSet(
-                    dims,
-                    eqs=base_eqs + pos_eqs,
-                    ineqs=base_ineqs + pos_ineqs + neg_ineqs,
-                    divs=(div,),
-                )
-                value = piece.min_of(own_var)
-                if value is not None and (conflict_min is None
-                                          or value < conflict_min):
-                    conflict_min = value
-        analysis_cache[key] = conflict_min
-        return conflict_min
-
     def _furthest_by_overlap(self, loop: LoopNode, prefix: Tuple[int, ...],
                              i0: int, last: int, delta: int,
                              analysis_cache: Dict) -> int:
@@ -653,8 +553,7 @@ class _WarpingRunner:
                     continue  # identical shift: always compatible
                 if self._arrays_disjoint(node_a, node_b):
                     continue  # distinct arrays, disjoint block ranges
-                key = ("overlap", self._node_key[id(node_a)],
-                       self._node_key[id(node_b)])
+                key = ("overlap", id(node_a), id(node_b))
                 cached = analysis_cache.get(key)
                 if cached is not None:
                     cached_i0, conflict = cached
@@ -746,7 +645,7 @@ class _WarpingRunner:
         for node in loop.access_descendants():
             if id(node) not in shifts:
                 continue  # proven not to execute in the region
-            key = ("hull", self._node_key[id(node)], i0, bound)
+            key = ("hull", id(node), i0, bound)
             if key in analysis_cache:
                 hull = analysis_cache[key]
             else:

@@ -60,12 +60,6 @@ def _require_plain(loop: LoopNode, op: str) -> None:
             f"its domain; only plain affine domains are transformable")
 
 
-def _constraints(domain: BasicSet) -> List[Tuple[LinExpr, bool]]:
-    """All constraints as (expr, is_eq) pairs."""
-    return ([(e, True) for e in domain.eqs]
-            + [(e, False) for e in domain.ineqs])
-
-
 def _split_own(domain: BasicSet, iterator: str
                ) -> Tuple[List[LinExpr], List[LinExpr],
                           List[LinExpr], List[LinExpr]]:

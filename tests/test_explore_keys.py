@@ -61,7 +61,7 @@ def test_default_transform_leaves_key_unchanged():
 
 
 def test_computed_record_carries_phases_but_keeps_its_key():
-    """The PR-5 observability payload (phases/counters/memo in the
+    """The PR-5 observability payload (phases/counters in the
     *result* section) must never leak into the content key: keys hash
     the point dict only, so profiled stores stay resume-compatible."""
     from repro.explore.runner import run_point
@@ -74,7 +74,6 @@ def test_computed_record_carries_phases_but_keeps_its_key():
     assert record["status"] == "ok"
     result = record["result"]
     assert "phases" in result and "counters" in result
-    assert "memo" in result
     # And the phase payload itself must not perturb the key either.
     assert point.key() == record["key"]
 

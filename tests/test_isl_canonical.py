@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.isl.affine import LinExpr
 from repro.isl.sets import (
     BasicSet,
@@ -21,6 +22,8 @@ from repro.isl.sets import (
     clear_decision_cache,
     decision_cache_size,
 )
+from repro.polybench import build_kernel
+from repro.simulation import simulate_warping
 
 
 def x(name, coeff=1):
@@ -128,6 +131,178 @@ class TestDecisionMemo:
             BasicSet.from_bounds(
                 ["i"], {"i": (offset, offset + 1)}).is_empty()
         assert decision_cache_size() <= DECISION_CACHE_LIMIT
+
+
+# -- cross-run reuse at the simulation level -----------------------------------
+
+
+def _outcome(kernel, config):
+    result = simulate_warping(build_kernel(kernel, "MINI"), config)
+    return (result.accesses, result.warp_count,
+            [(s.hits, s.misses) for s in result.levels])
+
+
+def _check_sweep_against_cold_runs(kernel, configs):
+    """Every run of a mini-sweep sharing the decision cache equals a
+    run made after ``clear_decision_cache()``, and the sweep reuses
+    cached answers: each config's second run is fully warm, so hits
+    can never trail misses (kernels whose warp analyses stay on the
+    static fast paths ask no set queries at all)."""
+    cold = []
+    for config in configs:
+        clear_decision_cache()
+        cold.append(_outcome(kernel, config))
+    clear_decision_cache()
+    with obs.collect() as tracer:
+        for config, expected in zip(configs, cold):
+            assert _outcome(kernel, config) == expected
+            assert _outcome(kernel, config) == expected  # fully warm
+    counters = tracer.counters
+    assert counters.get("isl.memo_hits", 0) >= counters.get(
+        "isl.memo_misses", 0)
+
+
+class TestSoundness:
+    @pytest.mark.parametrize("kernel", ["jacobi-2d", "trisolv", "lu",
+                                        "gemm"])
+    def test_reuse_never_changes_results_across_sizes(self, kernel):
+        _check_sweep_against_cold_runs(
+            kernel, [CacheConfig(size, 4, 32, "plru")
+                     for size in (512, 1024, 2048)])
+
+    def test_reuse_across_policies_and_hierarchy(self):
+        l2 = CacheConfig(4096, 8, 32, "qlru", name="L2")
+        _check_sweep_against_cold_runs(
+            "jacobi-2d",
+            [HierarchyConfig(CacheConfig(1024, 4, 32, policy, name="L1"),
+                             l2)
+             for policy in ("lru", "plru", "fifo")])
+
+
+def _lookups(kernel, config):
+    """``(hits, misses, ilp solves)`` of one warping run on a fresh
+    build of ``kernel`` at MINI size."""
+    with obs.collect() as tracer:
+        simulate_warping(build_kernel(kernel, "MINI"), config)
+    counters = tracer.counters
+    return (counters.get("isl.memo_hits", 0),
+            counters.get("isl.memo_misses", 0),
+            counters.get("ilp.solves", 0))
+
+
+class TestReuse:
+    """Where cross-run reuse happens: the warp analyses' set queries
+    depend on the access pattern (domains, address expressions, block
+    size), not on cache capacity, associativity or policy, so a sweep
+    over those dimensions is answered from the decision cache after
+    its first point."""
+
+    @pytest.mark.parametrize("kernel", ["atax", "gemm", "lu", "mvt",
+                                        "symm", "trisolv"])
+    def test_capacity_sweep_reuses_every_decision(self, kernel):
+        clear_decision_cache()
+        hits, misses, solves = _lookups(kernel,
+                                        CacheConfig(512, 4, 32, "plru"))
+        assert misses > 0 and solves > 0
+        for size in (1024, 2048):
+            assert _lookups(kernel, CacheConfig(size, 4, 32, "plru")) == \
+                (hits + misses, 0, 0)
+
+    @pytest.mark.parametrize("kernel", ["durbin", "fdtd-2d",
+                                        "gramschmidt", "floyd-warshall"])
+    def test_rebuilt_scop_solves_no_ilp(self, kernel):
+        """A fresh build of the same SCoP asks exactly the questions
+        of the first run, and every one is answered from the cache."""
+        config = CacheConfig(1024, 4, 32, "plru")
+        clear_decision_cache()
+        hits, misses, solves = _lookups(kernel, config)
+        assert misses > 0 and solves > 0
+        assert _lookups(kernel, config) == (hits + misses, 0, 0)
+
+    def test_policy_and_associativity_changes_reuse_decisions(self):
+        clear_decision_cache()
+        hits, misses, _ = _lookups("gemm", CacheConfig(1024, 4, 32, "plru"))
+        for config in (CacheConfig(1024, 4, 32, "lru"),
+                       CacheConfig(1024, 4, 32, "fifo"),
+                       CacheConfig(1024, 8, 32, "plru")):
+            assert _lookups("gemm", config) == (hits + misses, 0, 0)
+
+    def test_block_size_change_asks_new_questions(self):
+        clear_decision_cache()
+        _lookups("gemm", CacheConfig(1024, 4, 32, "plru"))
+        _, misses, solves = _lookups("gemm", CacheConfig(1024, 4, 64, "plru"))
+        assert misses > 0 and solves > 0
+
+    def test_clear_forgets_every_answer(self):
+        config = CacheConfig(1024, 4, 32, "plru")
+        clear_decision_cache()
+        cold = _lookups("lu", config)
+        assert decision_cache_size() > 0
+        clear_decision_cache()
+        assert decision_cache_size() == 0
+        assert _lookups("lu", config) == cold
+
+    def test_sweep_points_share_the_decision_cache(self):
+        """``run_point`` records carry the decision-cache counters:
+        the first point of a capacity sweep fills the cache and the
+        later points only hit it."""
+        from repro.explore.runner import run_point
+        from repro.explore.spec import SweepSpec
+
+        spec = SweepSpec(kernels=["mvt"], sizes=["MINI"],
+                         l1_sizes=[512, 1024, 2048], l1_assocs=[4],
+                         l1_policies=["plru"], block_sizes=[32])
+        clear_decision_cache()
+        counters = [run_point(point.to_dict())["result"]["counters"]
+                    for point in spec.expand()]
+        assert counters[0].get("isl.memo_misses", 0) > 0
+        for later in counters[1:]:
+            assert later.get("isl.memo_misses", 0) == 0
+            assert later.get("ilp.solves", 0) == 0
+            assert later["isl.memo_hits"] == (
+                counters[0].get("isl.memo_hits", 0)
+                + counters[0]["isl.memo_misses"])
+
+
+def _domain_keys(scop):
+    """Canonical keys of every loop and access domain of ``scop`` —
+    the sets the warp analyses build their queries from."""
+    loops = tuple(loop.domain.canonical_key() for loop in scop.loop_nodes())
+    accesses = tuple(
+        (None if node.full_domain is None
+         else node.full_domain.canonical_key(), repr(node.addr_expr))
+        for node in scop.access_nodes())
+    return loops, accesses
+
+
+class TestDomainKeys:
+    """Cross-build decision reuse rests on rebuilt SCoPs producing the
+    same canonical domain keys, and on different programs not."""
+
+    def test_stable_across_rebuilds(self):
+        assert _domain_keys(build_kernel("gemm", "MINI")) == \
+            _domain_keys(build_kernel("gemm", "MINI"))
+
+    def test_sizes_and_kernels_distinguish(self):
+        keys = {
+            _domain_keys(build_kernel("gemm", "MINI")),
+            _domain_keys(build_kernel("gemm", "SMALL")),
+            _domain_keys(build_kernel("atax", "MINI")),
+        }
+        assert len(keys) == 3
+
+    def test_transform_changes_keys(self):
+        plain = _domain_keys(build_kernel("mvt", "MINI"))
+        tiled = _domain_keys(
+            build_kernel("mvt", "MINI", transform="tile(i,j:8x8)"))
+        assert plain != tiled
+
+    def test_transform_keys_stable(self):
+        a = _domain_keys(
+            build_kernel("mvt", "MINI", transform="tile(i,j:8x8)"))
+        b = _domain_keys(
+            build_kernel("mvt", "MINI", transform="tile(i,j:8x8)"))
+        assert a == b
 
 
 # -- negate (strict-inequality satellite bugfix) -------------------------------

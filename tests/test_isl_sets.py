@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isl.affine import LinExpr
-from repro.isl.sets import (
-    BasicSet,
-    Set,
-    lex_ge_set,
-    lex_gt_set,
-    lex_interval,
-    lex_le_set,
-    lex_lt_set,
-)
+from repro.isl.sets import BasicSet, Set
 
 I, J = LinExpr.var("i"), LinExpr.var("j")
 
@@ -145,28 +137,39 @@ def test_set_lex_optima():
     assert pieces.max_of(I) == 7
 
 
-def test_lex_order_helpers_match_python_tuples():
-    box = BasicSet.from_bounds(("i", "j"), {"i": (0, 3), "j": (0, 3)})
-    universe = box.enumerate_points()
-    pivot = (2, 1)
-    cases = [
-        (lex_lt_set, lambda p: p < pivot),
-        (lex_le_set, lambda p: p <= pivot),
-        (lex_gt_set, lambda p: p > pivot),
-        (lex_ge_set, lambda p: p >= pivot),
-    ]
-    for helper, predicate in cases:
-        region = helper(("i", "j"), pivot)
-        got = sorted(p for p in universe if region.contains(p))
-        assert got == sorted(p for p in universe if predicate(p)), helper
+def test_rename_dims_keeps_points():
+    """Schedule transforms rename loop dims; the renamed set holds the
+    same points under the new names."""
+    tri = BasicSet(("i", "j"), ineqs=[I, J, I - J, -I + 4])
+    renamed = tri.rename_dims({"i": "t", "j": "u"})
+    assert renamed.dims == ("t", "u")
+    assert renamed.enumerate_points() == tri.enumerate_points()
+    T = LinExpr.var("t")
+    assert renamed.max_of(T) == tri.max_of(I) == 4
 
 
-def test_lex_interval():
-    box = BasicSet.from_bounds(("i", "j"), {"i": (0, 3), "j": (0, 3)})
-    universe = box.enumerate_points()
-    region = lex_interval(("i", "j"), (1, 2), (3, 1))
-    got = sorted(p for p in universe if region.contains(p))
-    assert got == [p for p in universe if (1, 2) <= p < (3, 1)]
+def test_with_constraint_eq0_fixes_a_coordinate():
+    """Fixing the outer dims of a domain (as the SCoP model does for
+    an iterator prefix) leaves the inner loop's range."""
+    tri = BasicSet(("i", "j"), ineqs=[I, J, I - J, -I + 9])
+    fixed = tri.with_constraint_eq0(I - 4)
+    assert fixed.range_of(J) == (0, 4)
+    assert fixed.lexmin() == (4, 0) and fixed.lexmax() == (4, 4)
+    assert tri.with_constraint_eq0(I - 12).is_empty()
+
+
+def test_range_of_matches_enumeration():
+    tri = BasicSet(("i", "j"), ineqs=[I, J - 1, I - J, -I + 6])
+    points = tri.enumerate_points()
+    for expr in (I, J, 3 * I - 2 * J + 5, J - I):
+        values = [expr.evaluate(dict(zip(("i", "j"), p))) for p in points]
+        assert tri.range_of(expr) == (min(values), max(values)), expr
+
+
+def test_range_of_empty_set_is_none():
+    empty = BasicSet(("i",), ineqs=[I - 3, -I + 2])
+    assert empty.range_of(I) is None
+    assert Set(("i",), [empty]).range_of(I) is None
 
 
 def test_enumerate_limit():

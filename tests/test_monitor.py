@@ -91,14 +91,60 @@ def test_heartbeat_record_fields():
     state = _blank_state()
     state["worker"] = "w1"
     state["done"] = 3
-    state["memo"] = {"value_hits": 3, "value_misses": 1}
+    state["decision_hits"] = 3
+    state["decision_misses"] = 1
     record = heartbeat_record(state, interval=2.0)
     assert record["key"] == WORKER_KEY_PREFIX + "w1"
     assert record["status"] == "heartbeat"
     beat = record["heartbeat"]
     assert beat["points_done"] == 3
-    assert beat["memo_hit_rate"] == 0.75
+    assert beat["decision_hit_rate"] == 0.75
     json.dumps(record)  # store-serializable
+
+
+def test_heartbeat_without_decision_lookups_has_no_hit_rate():
+    """A worker whose points asked no set queries (or that has not
+    finished a point yet) reports no rate rather than a 0% one."""
+    state = _blank_state()
+    state["worker"] = "w1"
+    beat = heartbeat_record(state, interval=2.0)["heartbeat"]
+    assert beat["decision_hit_rate"] is None
+
+
+def test_point_finished_accumulates_decision_counters(monkeypatch):
+    from repro.explore import monitor
+
+    state = _blank_state()
+    monkeypatch.setattr(monitor, "_STATE", state)
+    monkeypatch.setattr(monitor, "_WRITER", None)
+    for hits, misses in ((0, 3), (3, 0), (2, 0)):
+        monitor.point_finished({"status": "ok", "result": {
+            "wall_s": 0.1,
+            "counters": {"isl.memo_hits": hits, "isl.memo_misses": misses,
+                         "ilp.solves": misses}}})
+    monitor.point_finished({"status": "error", "result": None})
+    assert (state["done"], state["failed"]) == (3, 1)
+    assert (state["decision_hits"], state["decision_misses"]) == (5, 3)
+    assert state["ilp_solves"] == 3
+    state["worker"] = "w1"
+    beat = heartbeat_record(state, interval=1.0)["heartbeat"]
+    assert beat["decision_hit_rate"] == 0.625
+
+
+def test_workers_table_shows_decision_hit_rate():
+    from repro.explore.report import workers_table
+
+    text = workers_table([
+        {"worker": "w1", "pid": 11, "points_done": 4,
+         "decision_hit_rate": 0.75, "age_s": 1.0},
+        {"worker": "w2", "pid": 12, "points_done": 0,
+         "decision_hit_rate": None, "age_s": 1.0},
+    ])
+    assert "decision hit" in text
+    rows = {line.split()[0]: line for line in text.splitlines()
+            if line.split() and line.split()[0] in ("w1", "w2")}
+    assert "75.0%" in rows["w1"]
+    assert "%" not in rows["w2"]
 
 
 # -- structured failures ------------------------------------------------------
@@ -244,6 +290,41 @@ def test_pooled_sweep_writes_per_worker_heartbeats(tmp_path):
     assert status["campaign"]["workers"] == 2
 
 
+def test_pooled_workers_flush_final_heartbeat_on_exit(tmp_path):
+    """With an interval far longer than the sweep, the pokes after each
+    point are rate-limited away, so the workers' final counts reach the
+    store only through the flush that runs when each worker exits."""
+    path = str(tmp_path / "flush.jsonl")
+    with open_store(path) as store:
+        outcome = run_sweep(_spec((256, 512, 1024, 2048)), store=store,
+                            workers=2, heartbeat=60.0)
+    assert outcome.computed == 4
+    with open_store(path) as store:
+        beats = read_heartbeats(store)
+    assert len(beats) == 2
+    assert sum(b["points_done"] for b in beats) == 4
+
+
+def test_inline_sweep_heartbeat_reports_decision_hit_rate(tmp_path):
+    """The heartbeat's decision-cache hit rate is the one the sweep's
+    own records imply: the first point fills the cache, later capacity
+    points only hit it."""
+    from repro.isl.sets import clear_decision_cache
+
+    path = str(tmp_path / "rate.jsonl")
+    clear_decision_cache()
+    with open_store(path) as store:
+        run_sweep(_spec((256, 512, 1024)), store=store, heartbeat=5.0)
+    with open_store(path) as store:
+        (beat,) = read_heartbeats(store)
+        counters = [record["result"]["counters"]
+                    for record in store.ok_records()]
+    hits = sum(c.get("isl.memo_hits", 0) for c in counters)
+    misses = sum(c.get("isl.memo_misses", 0) for c in counters)
+    assert hits > 0 and misses > 0
+    assert beat["decision_hit_rate"] == round(hits / (hits + misses), 4)
+
+
 # -- metrics view -------------------------------------------------------------
 
 def test_campaign_registry_exports_clean_prometheus(tmp_path):
@@ -340,10 +421,63 @@ def test_frontier_shows_metrics_and_failures(tmp_path, capsys):
     capsys.readouterr()
     assert main(["frontier", "--store", store_path]) == 0
     out = capsys.readouterr().out
-    assert "metrics: memo value hit-rate" in out
+    assert "metrics: decision-cache hit-rate" in out
     assert "ilp solves" in out
     assert "failures" in out
     # JSON mode stays schema-stable: a list of records, no extras.
     assert main(["frontier", "--store", store_path, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert isinstance(payload, list)
+
+
+def test_frontier_metrics_line_aggregates_decision_counters():
+    from repro.explore.report import store_metrics_summary
+
+    records = [
+        {"result": {"counters": {"isl.memo_misses": 3, "ilp.solves": 5}}},
+        {"result": {"counters": {"isl.memo_hits": 3}}},
+        {"result": {"counters": {"isl.memo_hits": 3}}},
+    ]
+    assert store_metrics_summary(records) == (
+        "metrics: decision-cache hit-rate 66.7% (6/9), ilp solves 5, "
+        "3 points")
+
+
+def test_frontier_metrics_line_without_lookups():
+    from repro.explore.report import store_metrics_summary
+
+    assert store_metrics_summary([{"result": {}}, {"result": None}]) == (
+        "metrics: decision-cache hit-rate -, ilp solves 0, 2 points")
+
+
+def test_monitor_and_frontier_load_stores_with_warp_memo_fields(
+        tmp_path, capsys):
+    """Stores written while sweep records and heartbeats still carried
+    warp-memo sections (``result.memo``, ``memo``/``memo_hit_rate``)
+    keep loading in ``repro monitor`` and ``repro frontier``."""
+    path = str(tmp_path / "old.jsonl")
+    prom_path = str(tmp_path / "old.prom")
+    with open_store(path) as store:
+        run_sweep(_spec(), store=store, heartbeat=5.0)
+    with open_store(path) as store:
+        for record in store.ok_records():
+            record["result"]["memo"] = {
+                "pattern_hits": 1, "pattern_misses": 1, "value_hits": 3,
+                "value_misses": 1, "value_hit_rate": 0.75}
+            store.put(record)
+        beat = dict(read_heartbeats(store)[0])
+        beat.pop("decision_hit_rate")
+        beat.update(memo={"value_hits": 3, "value_misses": 1},
+                    memo_hit_rate=0.75)
+        store.put({"key": WORKER_KEY_PREFIX + beat["worker"],
+                   "status": "heartbeat", "heartbeat": beat})
+    capsys.readouterr()
+    assert main(["monitor", path, "--once",
+                 "--export-prom", prom_path]) == 0
+    assert "campaign: 2/2 points" in capsys.readouterr().out
+    with open(prom_path) as handle:
+        kinds = validate_prometheus(handle.read())
+    assert "repro_memo_total" not in kinds
+    assert kinds["repro_isl_memo_hits_total"] == "counter"
+    assert main(["frontier", "--store", path]) == 0
+    assert "metrics: decision-cache hit-rate" in capsys.readouterr().out

@@ -17,7 +17,7 @@ from repro.perf.schema import BenchSchemaError, validate_bench
 
 
 def make_payload(pr=4, platform="Linux-test-x86_64", cpu_count=4,
-                 wall=1.0, speedup=3.0, geomean=3.0, memo_speedup=2.0):
+                 wall=1.0, speedup=3.0, geomean=3.0):
     """A minimal, schema-valid bench payload for gate tests."""
     return {
         "schema": "repro-bench/1",
@@ -49,15 +49,43 @@ def make_payload(pr=4, platform="Linux-test-x86_64", cpu_count=4,
             "sharded_tree_speedup_min": speedup,
             "sharded_tree_speedup_geomean": geomean,
             "warping_speedup_geomean": 10.0,
-            "memo": {"kernel": "lu", "cold_s": 1.0,
-                     "warm_s": 1.0 / memo_speedup,
-                     "speedup": memo_speedup},
         },
     }
 
 
 def test_payload_fixture_is_schema_valid():
     validate_bench(make_payload())
+
+
+def _legacy_payload(memo_speedup=2.0, **kwargs):
+    """A payload written while ``repro bench`` still timed the removed
+    warp memo: its summary carries a ``memo`` section."""
+    payload = make_payload(**kwargs)
+    payload["summary"]["memo"] = {"kernel": "lu", "cold_s": 1.0,
+                                  "warm_s": 1.0 / memo_speedup,
+                                  "speedup": memo_speedup}
+    return payload
+
+
+def test_legacy_memo_summary_still_validates():
+    validate_bench(_legacy_payload())
+    # The section is no longer checked, so its shape cannot fail a file.
+    payload = _legacy_payload()
+    payload["summary"]["memo"] = {"kernel": "lu"}
+    validate_bench(payload)
+
+
+def test_legacy_memo_baseline_gates_without_a_memo_row():
+    """A baseline with a memo section (however fast its memo was) gates
+    a fresh payload without one on the remaining metrics only."""
+    report = compare_payloads(make_payload(pr=8),
+                              [_legacy_payload(memo_speedup=50.0)])
+    assert report["ok"] is True
+    assert all("memo" not in row["metric"] for row in report["rows"])
+    worse = compare_payloads(make_payload(pr=8, speedup=1.2, geomean=1.2),
+                             [_legacy_payload()])
+    assert {r["metric"] for r in worse["regressions"]} == {
+        "speedup_vs_sequential", "sharded_tree_speedup_geomean"}
 
 
 def test_clean_rerun_passes():
@@ -98,15 +126,13 @@ def test_cross_machine_wall_clocks_not_gated():
 
 def test_speedup_drop_gated_even_cross_machine():
     base = make_payload(platform="Darwin-other-arm64",
-                        speedup=3.0, geomean=3.0, memo_speedup=2.0)
-    worse = make_payload(pr=8, speedup=1.2, geomean=1.2,
-                         memo_speedup=1.0)
+                        speedup=3.0, geomean=3.0)
+    worse = make_payload(pr=8, speedup=1.2, geomean=1.2)
     report = compare_payloads(worse, [base])
     assert report["ok"] is False
     metrics = {r["metric"] for r in report["regressions"]}
     assert "speedup_vs_sequential" in metrics
     assert "sharded_tree_speedup_geomean" in metrics
-    assert "memo_speedup" in metrics
 
 
 def test_multi_baseline_takes_most_favourable():
@@ -167,7 +193,6 @@ def test_inject_slowdown_scales_consistently():
     assert sharded["critical_path_s"] == pytest.approx(2.0 / 3.0)
     assert sharded["shard_cpu_s"] == [0.5] * 4
     assert sharded["speedup_vs_sequential"] == 3.0  # dimensionless
-    assert slow["summary"]["memo"]["cold_s"] == 2.0
     validate_bench(slow)
 
 

@@ -1,15 +1,19 @@
 """Tests for the warping applicability analyses.
 
 Checks the static fast paths of FurthestByDomains against the exact
-Presburger reference (``_ilp_domain_conflict``), and the overlap and
-cache-agreement machinery on targeted scenarios.
+Presburger reference (:func:`ilp_domain_conflict`, the paper's conflict
+set, kept here as a test oracle), and the overlap and cache-agreement
+machinery on targeted scenarios.
 """
+
+from typing import Optional
 
 import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cache.cache import Cache
 from repro.isl.affine import LinExpr
+from repro.isl.sets import BasicSet
 from repro.polyhedral import ScopBuilder
 from repro.simulation import simulate_nonwarping, simulate_warping
 from repro.simulation.symbolic import SingleLevel
@@ -19,6 +23,65 @@ from repro.simulation.warping import _WarpingRunner
 def runner_for(scop, cfg=None):
     cfg = cfg or CacheConfig(64, 2, 8, "lru")
     return _WarpingRunner(scop, SingleLevel(cfg))
+
+
+def ilp_domain_conflict(loop, node, prefix, i0: int, i1: int, last: int,
+                        delta: int) -> Optional[int]:
+    """Exact conflict set C_a via Presburger sets.
+
+    This is the paper's FurthestByDomains conflict set, verbatim.  The
+    simulator itself uses the static classification fast paths (every
+    "coupled" domain conflicts at the first candidate iteration); this
+    exact version is the oracle they are checked against.
+    """
+    domain = node.full_domain
+    if domain is None:
+        return None
+    if domain.divs or domain.exists:
+        # Cannot negate; conservatively refuse to warp past i1.
+        return i1
+    own = loop.iterator
+    dims = node.dims
+    own_var = LinExpr.var(own)
+    base_eqs = [LinExpr.var(dim) - val
+                for dim, val in zip(loop.dims[:-1], prefix)]
+    base_ineqs = [own_var - i1, -own_var + last]
+    # r = (own - i1) mod delta via the div q = floor((own - i1)/delta);
+    # every piece below shares this single div definition, so q is
+    # uniquely determined and negation can be pushed inside.
+    q_name = "$warp_q"
+    div = (q_name, own_var - i1, delta)
+    corr = own_var - i1 - LinExpr.var(q_name) * delta + i0
+    subst = {own: corr}
+    a_eqs = list(domain.eqs)
+    a_ineqs = list(domain.ineqs)
+    b_eqs = [e.substitute(subst) for e in domain.eqs]
+    b_ineqs = [e.substitute(subst) for e in domain.ineqs]
+
+    def negation_pieces(eqs, ineqs):
+        for eq in eqs:
+            yield [eq - 1]
+            yield [-eq - 1]
+        for ineq in ineqs:
+            yield [-ineq - 1]
+
+    conflict_min: Optional[int] = None
+    for pos_eqs, pos_ineqs, neg in (
+            (a_eqs, a_ineqs, negation_pieces(b_eqs, b_ineqs)),
+            (b_eqs, b_ineqs, negation_pieces(a_eqs, a_ineqs)),
+    ):
+        for neg_ineqs in neg:
+            piece = BasicSet(
+                dims,
+                eqs=base_eqs + pos_eqs,
+                ineqs=base_ineqs + pos_ineqs + neg_ineqs,
+                divs=(div,),
+            )
+            value = piece.min_of(own_var)
+            if value is not None and (conflict_min is None
+                                      or value < conflict_min):
+                conflict_min = value
+    return conflict_min
 
 
 # -- invariance classification ---------------------------------------------------------
@@ -89,8 +152,7 @@ def test_interval_fast_path_matches_ilp_reference(guard_lo, guard_hi):
 
     i0, i1, last, delta = 4, 6, 63, 2
     fast = runner._interval_conflict(loop, node, (), i0, last)
-    exact = runner._ilp_domain_conflict(loop, node, (), i0, i1, last,
-                                        delta, {})
+    exact = ilp_domain_conflict(loop, node, (), i0, i1, last, delta)
     if exact is None:
         # The fast path may be more conservative but never less.
         assert fast is None or fast <= last + 1
@@ -109,7 +171,7 @@ def test_exact_domain_conflict_detects_guard_boundary():
     runner = runner_for(scop)
     # Match interval [4, 6), warping from 6: iterations >= 20 differ from
     # their mod-delta counterparts in [4, 6) (which do not access).
-    conflict = runner._ilp_domain_conflict(loop, node, (), 4, 6, 63, 2, {})
+    conflict = ilp_domain_conflict(loop, node, (), 4, 6, 63, 2)
     assert conflict == 20
     fast = runner._interval_conflict(loop, node, (), 4, 63)
     assert fast == 20
@@ -123,9 +185,7 @@ def test_exact_domain_conflict_none_for_unguarded():
     scop = b.build()
     loop = scop.roots[0]
     node = loop.children[0]
-    runner = runner_for(scop)
-    assert runner._ilp_domain_conflict(loop, node, (), 4, 6, 63, 2, {}) \
-        is None
+    assert ilp_domain_conflict(loop, node, (), 4, 6, 63, 2) is None
 
 
 # -- overlap analysis ----------------------------------------------------------------------
