@@ -43,19 +43,21 @@ class CacheSetState:
 
         With ``allocate=False`` (write miss under no-write-allocate) the
         set state is left unchanged on a miss and the line is None.
+        The policy transition is a lookup in ``policy.table(assoc)``.
         """
-        line = self.lookup(block)
-        if line is not None:
-            self.policy_state = policy.on_hit(self.policy_state,
-                                              self.assoc, line)
-            return True, line
-        if not allocate:
-            return False, None
-        occupied = [content is not None for content in self.lines]
-        line, self.policy_state = policy.on_miss(self.policy_state,
-                                                 self.assoc, occupied)
-        self.lines[line] = block
-        return False, line
+        lines = self.lines
+        try:
+            line = lines.index(block)
+        except ValueError:
+            if not allocate:
+                return False, None
+            line, self.policy_state = policy.table(self.assoc).after_miss(
+                self.policy_state, lines)
+            lines[line] = block
+            return False, line
+        self.policy_state = policy.table(self.assoc).after_hit(
+            self.policy_state, line)
+        return True, line
 
     def clone(self) -> "CacheSetState":
         copy = CacheSetState.__new__(CacheSetState)

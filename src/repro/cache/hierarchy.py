@@ -98,9 +98,8 @@ class CacheHierarchy:
     @staticmethod
     def _peek_victim(cache: Cache, set_state) -> Optional[int]:
         """The block the next allocation in ``set_state`` would evict."""
-        occupied = [content is not None for content in set_state.lines]
-        victim_line, _ = cache.policy.on_miss(
-            set_state.policy_state, set_state.assoc, occupied)
+        victim_line, _ = cache.policy.table(set_state.assoc).after_miss(
+            set_state.policy_state, set_state.lines)
         return set_state.lines[victim_line]
 
     def _lookup_and_update(self, level_index: int, block: int,

@@ -5,6 +5,13 @@ Every policy implements :class:`ReplacementPolicy` and obeys the
 functions of line indices and policy metadata only — a policy never sees
 the identity of the blocks stored in the lines.  This is what makes
 warping sound for arbitrary policies.
+
+The same contract makes the transitions memoisable.  ``on_hit`` is a
+pure function of ``(state, line)`` and ``on_miss`` of
+``(state, occupancy)``, and states are immutable values, so each policy
+instance keeps one :class:`~repro.cache.policies.base.TransitionTable`
+per associativity (``policy.table(assoc)``) and caches perform every
+hit and every full-set eviction as a lookup in it.
 """
 
 from repro.cache.policies.base import ReplacementPolicy

@@ -172,12 +172,15 @@ def run_engine(scop, config, engine: str,
     simulation without warping — Algorithm 1 semantics, warp machinery
     off); the other engines never warp, so the flag is moot there.
     """
-    # Imported lazily so worker processes pay the cost once each, and so
-    # the module stays importable without pulling every engine in.
-    from repro.baselines import simulate_dinero
+    # Imported lazily so the module stays importable without pulling
+    # every engine in.  The baselines package is imported only for the
+    # engine that needs it: a set-shard worker times its run_engine call,
+    # and importing it there would charge each worker several ms.
     from repro.simulation import simulate_nonwarping, simulate_warping
 
     if engine == "dinero":
+        from repro.baselines import simulate_dinero
+
         return simulate_dinero(scop, config)
     if engine == "tree":
         target = (CacheHierarchy(config)

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.isl.affine import LinExpr
+from repro.isl.affine import LinExpr, Number
 from repro.isl.sets import BasicSet
 from repro.polyhedral.arrays import Array, MemoryLayout
 
 Point = Tuple[int, ...]
+#: An affine expression's terms over a loop's outer iterators:
+#: ``(prefix position, coefficient)`` for every nonzero coefficient.
+Terms = Tuple[Tuple[int, Number], ...]
 
 
 class AccessNode:
@@ -163,14 +166,26 @@ class LoopNode:
         return len(self.dims)
 
     def _compile_bounds(self) -> None:
-        """Extract affine bounds on the own iterator for fast evaluation."""
-        self._lower_bounds: List[Tuple[int, LinExpr]] = []
-        self._upper_bounds: List[Tuple[int, LinExpr]] = []
-        self._guards: List[Tuple[LinExpr, bool]] = []
+        """Extract affine bounds on the own iterator for fast evaluation.
+
+        Each bound's remainder over the outer iterators is compiled to
+        ``(constant, ((prefix position, coefficient), ...))``.
+        """
+        #: (own coefficient, constant, terms) per bound
+        self._lower_bounds: List[Tuple[int, Number, Terms]] = []
+        self._upper_bounds: List[Tuple[int, Number, Terms]] = []
+        #: (constant, terms, is equality) per guard on the outer dims
+        self._guards: List[Tuple[Number, Terms, bool]] = []
         self._bounds_exact = not self.domain.divs and not self.domain.exists
         if not self._bounds_exact:
             return
         own = self.iterator
+        position = {dim: at for at, dim in enumerate(self.dims[:-1])}
+
+        def compiled(rest: LinExpr) -> Tuple[Number, Terms]:
+            return rest.constant, tuple(
+                (position[dim], coeff) for dim, coeff in rest.coeffs.items())
+
         constraints = [(ineq, False) for ineq in self.domain.ineqs]
         constraints += [(eq, True) for eq in self.domain.eqs]
         for expr, is_eq in constraints:
@@ -179,16 +194,16 @@ class LoopNode:
             coeff = int(coeff)
             if coeff > 0:
                 # coeff*i + rest >= 0  ->  i >= ceil(-rest / coeff)
-                self._lower_bounds.append((coeff, rest))
+                self._lower_bounds.append((coeff, *compiled(rest)))
                 if is_eq:
-                    self._upper_bounds.append((-coeff, -rest))
+                    self._upper_bounds.append((-coeff, *compiled(-rest)))
             elif coeff < 0:
-                self._upper_bounds.append((coeff, rest))
+                self._upper_bounds.append((coeff, *compiled(rest)))
                 if is_eq:
-                    self._lower_bounds.append((-coeff, -rest))
+                    self._lower_bounds.append((-coeff, *compiled(-rest)))
             else:
                 # Pure guard on outer dims: check at bounds evaluation.
-                self._guards.append((rest, is_eq))
+                self._guards.append((*compiled(rest), is_eq))
 
     # -- iteration ranges ---------------------------------------------------------------
 
@@ -198,20 +213,22 @@ class LoopNode:
         Returns None when the loop body does not execute for ``prefix``.
         """
         if self._bounds_exact:
-            assignment = dict(zip(self.dims[:-1], prefix))
-            for guard, is_eq in self._guards:
-                value = guard.evaluate(assignment)
+            for value, terms, is_eq in self._guards:
+                for at, coeff in terms:
+                    value += coeff * prefix[at]
                 if (value != 0) if is_eq else (value < 0):
                     return None
             lo: Optional[int] = None
             hi: Optional[int] = None
-            for coeff, rest in self._lower_bounds:
-                value = rest.evaluate(assignment)
+            for coeff, value, terms in self._lower_bounds:
+                for at, term in terms:
+                    value += term * prefix[at]
                 bound = -(value // coeff)  # ceil(-value / coeff), exact ints
                 if lo is None or bound > lo:
                     lo = bound
-            for coeff, rest in self._upper_bounds:
-                value = rest.evaluate(assignment)
+            for coeff, value, terms in self._upper_bounds:
+                for at, term in terms:
+                    value += term * prefix[at]
                 bound = value // -coeff  # floor(value / -coeff), exact ints
                 if hi is None or bound < hi:
                     hi = bound

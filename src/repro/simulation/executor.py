@@ -12,15 +12,21 @@ place that performs them:
   skip the domain check.
 * :meth:`LeafExecutor.run_point` performs a run of access nodes at one
   iteration point: loop bodies under warping's match detection, and
-  accesses that sit beside loops in a body.
+  accesses that sit beside loops in a body.  It is the same drain, run
+  for one iteration.
 
-Both filter the access stream down to the blocks a set shard owns (see
-:class:`~repro.cache.config.ShardedCacheConfig`) and count the accesses
-they perform.  When the L1 is modulo-placed and the target is a single
-cache or a NINE hierarchy, :meth:`run` inlines the L1 set lookup and
-update, keeping the counters in locals; only L1 misses of a hierarchy
-descend through a per-target hook.  Any other target (hashed placement,
-inclusive or exclusive hierarchies) gets one ``access`` call per access.
+The drain filters the access stream down to the blocks a set shard owns
+(see :class:`~repro.cache.config.ShardedCacheConfig`), dropping up front
+every access whose residue class cannot change during the drain, and
+counts the accesses it performs.  When the L1 is modulo-placed and the
+target is a single cache or a NINE hierarchy, it inlines the L1 set
+lookup and update, keeping the counters in locals; the policy update is
+a lookup in the L1 policy's transition table
+(:class:`~repro.cache.policies.base.TransitionTable`),
+``hit[state][line]`` on a hit and ``evict[state]`` on a miss into a full
+set.  Only L1 misses of a hierarchy descend through a per-target hook.
+Any other target (hashed placement, inclusive or exclusive hierarchies)
+gets one ``access`` call per access.
 
 Concrete caches (:class:`~repro.cache.cache.Cache`) and symbolic caches
 (:class:`~repro.simulation.symbolic.SymbolicCache`) share the set layout
@@ -38,7 +44,7 @@ otherwise the same.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro import obs
 from repro.cache.cache import Cache
@@ -76,7 +82,7 @@ class LeafExecutor:
     """
 
     __slots__ = ("symbolic", "block_size", "modulus", "residue",
-                 "accesses", "_access", "_inline", "_descend", "_bodies",
+                 "accesses", "_access", "_l1", "_descend", "_bodies",
                  "_tracer", "_span")
 
     def __init__(self, target):
@@ -105,8 +111,18 @@ class LeafExecutor:
         inclusion = getattr(target, "inclusion", InclusionPolicy.NINE)
         inline = (_modulo_placed(config)
                   and inclusion is InclusionPolicy.NINE)
-        #: the L1 whose set update :meth:`run` inlines, or None
-        self._inline = levels[0] if inline else None
+        #: what the inlined L1 set update reads, or None: the L1, its
+        #: set count and associativity, its policy's transition table
+        #: (hit rows, row maker, ``on_hit``, evictions, eviction maker,
+        #: miss hook) and whether writes allocate
+        self._l1 = None
+        if inline:
+            l1 = levels[0]
+            table = l1.policy.table(config.assoc)
+            self._l1 = (l1, config.num_sets, config.assoc, table.hit,
+                        table.hit_row, l1.policy.on_hit, table.evict,
+                        table.evict_entry, table.after_miss,
+                        config.write_policy is WritePolicy.WRITE_ALLOCATE)
         #: NINE descent of an L1 miss into the outer levels, or None
         self._descend = (_nine_descent(levels[1:], self.symbolic)
                          if inline and len(levels) > 1 else None)
@@ -135,73 +151,65 @@ class LeafExecutor:
     def run_point(self, nodes: Sequence[AccessNode],
                   point: Tuple[int, ...]) -> None:
         """Perform the accesses of ``nodes`` at iteration ``point``."""
-        tracer = self._tracer
-        if tracer is not None:
-            start = perf_counter()
-        access = self._access
-        symbolic = self.symbolic
-        count = 0
-        for node in nodes:
-            if node.domain is not None and not node.in_domain(point):
-                continue
-            block = node.addr_at(point) // self.block_size
-            if self.modulus != 1 and block % self.modulus != self.residue:
-                continue  # another shard owns this block
-            count += 1
-            access(block, (node, point) if symbolic else None,
-                   node.is_write)
-        self.accesses += count
-        if tracer is not None:
-            tracer.add_time(self._span, perf_counter() - start, count)
+        self._drain(nodes, point, value=0, hi=0, stride=1, in_domain=None)
 
     def run(self, loop: LoopNode, prefix: Tuple[int, ...], value: int,
             hi: int) -> None:
         """Perform every access of innermost ``loop`` for the iterator
         values ``value, value + stride, ...`` up to ``hi``, under the
         outer iterators ``prefix``."""
+        self._drain(self.body(loop)[0][0], prefix + (value,), value, hi,
+                    loop.stride,
+                    None if loop._bounds_exact else loop.in_domain)
+
+    def _drain(self, nodes: Sequence[AccessNode], point: Tuple[int, ...],
+               value: int, hi: int, stride: int, in_domain) -> None:
+        """Perform the accesses of ``nodes`` at ``point``, whose last
+        coordinate is the iterator ``value``, then at each point that
+        advances it by ``stride`` up to ``hi``; points that fail
+        ``in_domain`` (None: no check) are skipped.  :meth:`run_point`
+        passes ``value == hi``, one iteration whose iterator value is
+        never read."""
         tracer = self._tracer
         if tracer is not None:
             start = perf_counter()
-        nodes = self.body(loop)[0][0]
-        stride = loop.stride
-        check_domain = not loop._bounds_exact
-        in_domain = loop.in_domain
-        own = loop.depth - 1
-        first = prefix + (value,)
+        own = len(point) - 1
+        prefix = point[:own]
+        many = value < hi
         # [node, byte address, per-iteration address step, guarded?,
         #  is_write]
-        infos = [[node, node.addr_at(first),
-                  node.coeff_vector()[own] * stride,
+        infos = [[node, node.addr_at(point),
+                  node.coeff_vector()[own] * stride if many else 0,
                   node.domain is not None, node.is_write]
                  for node in nodes]
-        symbolic = self.symbolic
-        need_point = (symbolic or check_domain
-                      or any(info[3] for info in infos))
-        point: Optional[Tuple[int, ...]] = None
         block_size = self.block_size
         modulus = self.modulus
         residue = self.residue
         sharded = modulus != 1
+        if sharded:
+            # An access whose address step is a multiple of the shard's
+            # block stride keeps its residue class for the whole drain:
+            # if another shard owns it now, it always does.
+            unit = block_size * modulus
+            infos = [info for info in infos
+                     if info[2] % unit
+                     or info[1] // block_size % modulus == residue]
+        symbolic = self.symbolic
+        need_point = (symbolic or in_domain is not None
+                      or any(info[3] for info in infos))
         access = self._access
         descend = self._descend
-        cache = self._inline
         count = 0
-        if cache is not None:
-            config = cache.config
+        cache = None
+        if self._l1 is not None:
+            (cache, num_sets, assoc, hit_rows, hit_row, on_hit, evict,
+             evict_entry, after_miss, allocate_writes) = self._l1
             sets = cache.sets
-            num_sets = config.num_sets
-            assoc = config.assoc
-            on_hit = cache.policy.on_hit
-            on_miss = cache.policy.on_miss
-            allocate_writes = (config.write_policy
-                               is WritePolicy.WRITE_ALLOCATE)
             hits = cache.hits
             misses = cache.misses
         index = None
         while value <= hi:
-            if need_point:
-                point = prefix + (value,)
-            if not check_domain or in_domain(point):
+            if in_domain is None or in_domain(point):
                 for info in infos:
                     if info[3] and not info[0].in_domain(point):
                         continue
@@ -225,20 +233,33 @@ class LeafExecutor:
                             descend(block, sym, info[4])
                         if info[4] and not allocate_writes:
                             continue
-                        line, state.policy_state = on_miss(
-                            state.policy_state, assoc,
-                            [content is not None for content in lines])
+                        policy_state = state.policy_state
+                        if None in lines:
+                            line, state.policy_state = after_miss(
+                                policy_state, lines)
+                        else:
+                            line, state.policy_state = (
+                                evict.get(policy_state)
+                                or evict_entry(policy_state))
                         lines[line] = block
                     else:
                         hits += 1
-                        state.policy_state = on_hit(
-                            state.policy_state, assoc, line)
+                        policy_state = state.policy_state
+                        row = (hit_rows.get(policy_state)
+                               or hit_row(policy_state))
+                        after = row[line]
+                        if after is None:
+                            after = row[line] = on_hit(
+                                policy_state, assoc, line)
+                        state.policy_state = after
                     if symbolic:
                         state.version += 1
                         state.syms[line] = sym
             for info in infos:
                 info[1] += info[2]
             value += stride
+            if need_point:
+                point = prefix + (value,)
         if cache is not None:
             count = hits + misses - cache.hits - cache.misses
             cache.hits = hits

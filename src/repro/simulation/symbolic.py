@@ -68,14 +68,13 @@ class SymbolicSetState:
         except ValueError:
             if not allocate:
                 return False
-            occupied = [content is not None for content in self.lines]
-            line, self.policy_state = policy.on_miss(self.policy_state,
-                                                     self.assoc, occupied)
+            line, self.policy_state = policy.table(self.assoc).after_miss(
+                self.policy_state, self.lines)
             self.lines[line] = block
             self.syms[line] = sym
             return False
-        self.policy_state = policy.on_hit(self.policy_state,
-                                          self.assoc, line)
+        self.policy_state = policy.table(self.assoc).after_hit(
+            self.policy_state, line)
         self.syms[line] = sym
         return True
 
@@ -95,6 +94,11 @@ class SymbolicSetState:
         iterations), while own-dim coordinates are normalised by the
         set's maximum own coordinate, whose offset from the current
         iterator value becomes the scalar component.
+
+        The canonical part is one flat tuple: the policy state, then per
+        way either None (empty) or the node's id followed by its point's
+        coordinates.  A node's points all have one length, so the flat
+        tuple still determines every way.
         """
         own_index = depth - 1
         cached = self._key_cache.get(depth)
@@ -102,20 +106,17 @@ class SymbolicSetState:
             owns = [sym[1][own_index] for sym in self.syms
                     if sym is not None and len(sym[1]) > own_index]
             max_own = max(owns) if owns else None
-            after = own_index + 1
-            sym_keys = []
+            flat = [self.policy_state]
             for sym in self.syms:
                 if sym is None:
-                    sym_keys.append(None)
+                    flat.append(None)
                     continue
                 node, point = sym
+                flat.append(id(node))
+                flat += point
                 if len(point) > own_index:
-                    point = (point[:own_index]
-                             + (point[own_index] - max_own,)
-                             + point[after:])
-                sym_keys.append((id(node), point))
-            cached = (self.version,
-                      (self.policy_state, tuple(sym_keys)), max_own)
+                    flat[own_index - len(point)] -= max_own
+            cached = (self.version, tuple(flat), max_own)
             self._key_cache[depth] = cached
         _, canonical, max_own = cached
         scalar = None if max_own is None else max_own - current[own_index]
@@ -160,9 +161,8 @@ class SymbolicCache:
 
     def _peek_victim(self, set_state: SymbolicSetState):
         """The (block, sym) entry the next allocation would displace."""
-        occupied = [content is not None for content in set_state.lines]
-        victim_line, _ = self.policy.on_miss(
-            set_state.policy_state, set_state.assoc, occupied)
+        victim_line, _ = self.policy.table(set_state.assoc).after_miss(
+            set_state.policy_state, set_state.lines)
         if set_state.lines[victim_line] is None:
             return None
         return (set_state.lines[victim_line],

@@ -18,9 +18,11 @@ Design notes relative to the paper:
 * Access functions are affine, hence the byte-address shift of an access
   node under an iterator delta is a *constant*; warping is attempted only
   when every relevant shift is a multiple of the block size, which makes
-  the induced block bijection a per-node constant block shift.  Symbolic
-  states only match when the contents realign, so this restriction
-  coincides with where matches occur in practice.
+  the induced block bijection a per-node constant block shift.  States
+  do match at misaligned deltas (every attempt on gemm, atax and trisolv
+  fails this check), so each rejection is counted by reason:
+  ``warp.reject.align``, ``.rotation``, ``.entry_shift``, ``.domains``,
+  ``.overlap``, ``.short_tail`` or ``.cache_agrees``.
 * ``FurthestByOverlap``/``FurthestByDomains`` reduce to exact ILP queries
   on Presburger sets built with :mod:`repro.isl`.
 * Every explicit access is performed by the innermost-loop executor the
@@ -279,8 +281,7 @@ class _WarpingRunner:
 
         # (a) Per-node byte shifts must be aligned to block size times
         # shard modulus (makes the induced block mapping a constant
-        # shift that stays inside the shard's residue class; matches
-        # only occur at alignment periods anyway, cf. module docstring).
+        # shift that stays inside the shard's residue class).
         shifts: Dict[int, int] = {}
         for node in nodes:
             coeff = (node.coeff_vector()[own_index]
@@ -290,6 +291,7 @@ class _WarpingRunner:
                 if self._region_empty(node, loop, prefix, i0, last,
                                       analysis_cache):
                     continue
+                obs.count("warp.reject.align")
                 return False
             shifts[id(node)] = byte_shift // self.block_size
 
@@ -310,6 +312,7 @@ class _WarpingRunner:
                     if self._region_empty(node, loop, prefix, i0, last,
                                           analysis_cache):
                         continue
+                    obs.count("warp.reject.rotation")
                     return False
             level_rotations.append(rot if rot is not None else 0)
 
@@ -330,6 +333,7 @@ class _WarpingRunner:
                              if own_index < len(node.dims) else 0)
                     byte_shift = coeff * delta
                     if byte_shift % self._shift_unit != 0:
+                        obs.count("warp.reject.entry_shift")
                         return False
                     entry_shifts[id(node)] = byte_shift // self.block_size
         entry_shifts.update(shifts)
@@ -339,13 +343,16 @@ class _WarpingRunner:
         bound = min(bound, self._furthest_by_domains(
             loop, prefix, i0, i1, last, delta, analysis_cache))
         if bound <= i1:
+            obs.count("warp.reject.domains")
             return False
         bound = min(bound, self._furthest_by_overlap(
             loop, prefix, i0, last, delta, analysis_cache))
         if bound <= i1:
+            obs.count("warp.reject.overlap")
             return False
         n = (bound - i1) // delta
         if n <= 0:
+            obs.count("warp.reject.short_tail")
             return False
 
         # (e) CacheAgrees: the bijection induced by the access mappings
@@ -354,6 +361,7 @@ class _WarpingRunner:
                                   i0, min(bound, i1 + n * delta),
                                   shifts, entry_shifts, level_rotations,
                                   analysis_cache):
+            obs.count("warp.reject.cache_agrees")
             return False
 
         # Apply the warp (Algorithm 2, lines 10-12).

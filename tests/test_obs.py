@@ -17,7 +17,7 @@ from repro.obs.profile import (
     write_chrome_trace,
 )
 from repro.obs.tracer import Tracer
-from repro.polybench import build_kernel
+from repro.polybench import all_kernel_names, build_kernel
 from repro.simulation import simulate_nonwarping, simulate_warping
 from repro.cache.cache import Cache
 
@@ -177,10 +177,25 @@ class TestEngineCounters:
             simulate_warping(scop, GEMM_CONFIG)
         assert tracer.counters["ilp.solves"] == 6
         assert tracer.counters["warp.attempts"] == 6
+        assert tracer.counters["warp.reject.align"] == 6
         assert tracer.counters["ilp.lp_solves"] >= \
             tracer.counters["ilp.solves"]
         assert tracer.counters["ilp.pivots"] >= 1
         assert tracer.counters["sym.snapshot_keys"] > 0
+
+    @pytest.mark.parametrize("kernel", all_kernel_names())
+    def test_every_warp_attempt_hits_or_names_its_rejection(self, kernel):
+        """Each attempt either warps or bumps exactly one
+        ``warp.reject.*`` counter, so the reasons account for every
+        failed attempt."""
+        scop = build_kernel(kernel, "MINI")
+        with obs.collect() as tracer:
+            result = simulate_warping(scop, GEMM_CONFIG)
+        counters = tracer.counters
+        rejected = sum(value for name, value in counters.items()
+                       if name.startswith("warp.reject."))
+        assert counters.get("warp.hits", 0) + rejected == \
+            counters.get("warp.attempts", 0) == result.warp_attempts
 
     def test_tree_engine_counts_accesses(self):
         scop = build_kernel("mvt", {"N": 16})
