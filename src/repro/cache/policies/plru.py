@@ -11,7 +11,8 @@ microarchitectures (paper Sec. 2.1 and [3]).
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import Sequence, Tuple
 
 from repro.cache.policies.base import ReplacementPolicy
 
@@ -53,15 +54,21 @@ class PLRU(ReplacementPolicy):
     @staticmethod
     def _touch(state: int, assoc: int, line: int) -> int:
         """Flip path bits to point away from ``line``."""
-        num_inner = assoc - 1
-        node = line + num_inner  # leaf position in heap order
-        while node > 0:
-            parent = (node - 1) // 2
-            went_right = node == 2 * parent + 2
-            # Point away: bit = 0 if we went right, 1 if we went left.
-            if went_right:
-                state &= ~(1 << parent)
-            else:
-                state |= 1 << parent
-            node = parent
-        return state
+        path, away = _path_bits(assoc, line)
+        return (state & ~path) | away
+
+
+@lru_cache(maxsize=None)
+def _path_bits(assoc: int, line: int) -> Tuple[int, int]:
+    """The tree bits on the path from the root to ``line``, and those of
+    them that point away from it (bit = 0 where the path goes right, 1
+    where it goes left)."""
+    path = away = 0
+    node = line + assoc - 1  # leaf position in heap order
+    while node > 0:
+        parent = (node - 1) // 2
+        path |= 1 << parent
+        if node != 2 * parent + 2:
+            away |= 1 << parent
+        node = parent
+    return path, away

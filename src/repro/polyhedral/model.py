@@ -14,6 +14,7 @@ and are used as the fallback and in tests as the reference.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.isl.affine import LinExpr, Number
@@ -77,11 +78,7 @@ class AccessNode:
 
     def addr_at(self, point: Point) -> int:
         """Concrete byte address accessed at iteration ``point``."""
-        total = self._const
-        for coeff, value in zip(self._coeffs, point):
-            if coeff:
-                total += coeff * value
-        return total
+        return self._const + sum(map(mul, self._coeffs, point))
 
     def block_at(self, point: Point, block_size: int) -> int:
         """Concrete memory block accessed at iteration ``point``."""

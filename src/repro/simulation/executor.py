@@ -7,13 +7,17 @@ place that performs them:
 
 * :meth:`LeafExecutor.run` drains an innermost loop (a loop whose
   children are all access nodes) over a range of iterator values.  Each
-  child's byte address is affine in the iterator, so it is advanced by a
-  constant per iteration instead of re-evaluated, and unguarded children
-  skip the domain check.
+  child's byte address is affine in the iterator, ``base + value *
+  coeff`` with ``base`` fixed by the outer iterators, so it is computed
+  from the iterator instead of re-evaluated, and unguarded children skip
+  the domain check.
 * :meth:`LeafExecutor.run_point` performs a run of access nodes at one
-  iteration point: loop bodies under warping's match detection, and
-  accesses that sit beside loops in a body.  It is the same drain, run
-  for one iteration.
+  iteration point: accesses that sit beside loops in a body.  It is the
+  same drain, run for one iteration.
+* :meth:`LeafExecutor.run_once` runs one iteration of an innermost loop
+  under warping's match detection, from the loop's
+  :meth:`~LeafExecutor.entries`, which one execution of the loop computes
+  once.
 
 The drain filters the access stream down to the blocks a set shard owns
 (see :class:`~repro.cache.config.ShardedCacheConfig`), dropping up front
@@ -151,37 +155,50 @@ class LeafExecutor:
     def run_point(self, nodes: Sequence[AccessNode],
                   point: Tuple[int, ...]) -> None:
         """Perform the accesses of ``nodes`` at iteration ``point``."""
-        self._drain(nodes, point, value=0, hi=0, stride=1, in_domain=None)
+        start = perf_counter() if self._tracer is not None else 0.0
+        self._drain(start, nodes, None, point, 0, 0, 1, None)
 
     def run(self, loop: LoopNode, prefix: Tuple[int, ...], value: int,
             hi: int) -> None:
         """Perform every access of innermost ``loop`` for the iterator
         values ``value, value + stride, ...`` up to ``hi``, under the
         outer iterators ``prefix``."""
-        self._drain(self.body(loop)[0][0], prefix + (value,), value, hi,
-                    loop.stride,
+        start = perf_counter() if self._tracer is not None else 0.0
+        self._drain(start, self.body(loop)[0][0], None, prefix + (value,),
+                    value, hi, loop.stride,
                     None if loop._bounds_exact else loop.in_domain)
 
-    def _drain(self, nodes: Sequence[AccessNode], point: Tuple[int, ...],
-               value: int, hi: int, stride: int, in_domain) -> None:
-        """Perform the accesses of ``nodes`` at ``point``, whose last
-        coordinate is the iterator ``value``, then at each point that
-        advances it by ``stride`` up to ``hi``; points that fail
-        ``in_domain`` (None: no check) are skipped.  :meth:`run_point`
-        passes ``value == hi``, one iteration whose iterator value is
-        never read."""
+    def entries(self, loop: LoopNode, prefix: Tuple[int, ...]) -> list:
+        """The accesses of innermost ``loop`` under the outer iterators
+        ``prefix``, for :meth:`run_once`; one list serves every iteration
+        of the loop's execution."""
+        return _entries(self.body(loop)[0][0], prefix)
+
+    def run_once(self, entries: list, point: Tuple[int, ...]) -> None:
+        """Perform one iteration, at ``point``, of the innermost loop whose
+        :meth:`entries` are ``entries``."""
+        start = perf_counter() if self._tracer is not None else 0.0
+        value = point[-1]
+        self._drain(start, None, entries, point, value, value, 1, None)
+
+    def _drain(self, start: float, nodes: Sequence[AccessNode],
+               infos: list, point: Tuple[int, ...], value: int, hi: int,
+               stride: int, in_domain) -> None:
+        """Perform the accesses of ``nodes`` (or the entries ``infos``,
+        see :func:`_entries`) at ``point``, whose last coordinate is the
+        iterator ``value``, then at each point that advances it by
+        ``stride`` up to ``hi``; points that fail ``in_domain`` (None: no
+        check) are skipped.  :meth:`run_point` passes ``value == hi``, one
+        iteration whose iterator value is never read.  Under a tracer the
+        call's window began at ``start``."""
         tracer = self._tracer
-        if tracer is not None:
-            start = perf_counter()
         own = len(point) - 1
         prefix = point[:own]
-        many = value < hi
-        # [node, byte address, per-iteration address step, guarded?,
-        #  is_write]
-        infos = [[node, node.addr_at(point),
-                  node.coeff_vector()[own] * stride if many else 0,
-                  node.domain is not None, node.is_write]
-                 for node in nodes]
+        if infos is None:
+            # One iteration needs no address steps: address it at point.
+            infos = (_entries(nodes, prefix) if value < hi else
+                     [(node, node.addr_at(point), 0, node.domain is not None,
+                       node.is_write) for node in nodes])
         block_size = self.block_size
         modulus = self.modulus
         residue = self.residue
@@ -192,8 +209,9 @@ class LeafExecutor:
             # if another shard owns it now, it always does.
             unit = block_size * modulus
             infos = [info for info in infos
-                     if info[2] % unit
-                     or info[1] // block_size % modulus == residue]
+                     if info[2] * stride % unit
+                     or (info[1] + value * info[2]) // block_size % modulus
+                     == residue]
         symbolic = self.symbolic
         need_point = (symbolic or in_domain is not None
                       or any(info[3] for info in infos))
@@ -213,7 +231,7 @@ class LeafExecutor:
                 for info in infos:
                     if info[3] and not info[0].in_domain(point):
                         continue
-                    block = info[1] // block_size
+                    block = (info[1] + value * info[2]) // block_size
                     if sharded and block % modulus != residue:
                         continue  # another shard owns this block
                     sym = (info[0], point) if symbolic else None
@@ -255,8 +273,6 @@ class LeafExecutor:
                     if symbolic:
                         state.version += 1
                         state.syms[line] = sym
-            for info in infos:
-                info[1] += info[2]
             value += stride
             if need_point:
                 point = prefix + (value,)
@@ -269,6 +285,17 @@ class LeafExecutor:
         self.accesses += count
         if tracer is not None:
             tracer.add_time(self._span, perf_counter() - start, count)
+
+
+def _entries(nodes: Sequence[AccessNode], prefix: Tuple[int, ...]) -> list:
+    """Drain entries ``(node, base, coeff, guarded?, is_write)`` of
+    ``nodes`` under the outer iterators ``prefix``: the byte address at
+    iterator value ``v`` is ``base + v * coeff``."""
+    own = len(prefix)
+    point = prefix + (0,)
+    return [(node, node.addr_at(point), node.coeff_vector()[own],
+             node.domain is not None, node.is_write)
+            for node in nodes]
 
 
 def _nine_descent(outer, symbolic: bool):

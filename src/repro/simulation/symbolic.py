@@ -21,6 +21,7 @@ for match detection.
 
 from __future__ import annotations
 
+from operator import add
 from typing import List, Optional, Tuple
 
 from repro import obs
@@ -78,49 +79,62 @@ class SymbolicSetState:
         self.syms[line] = sym
         return True
 
-    def rel_key(self, depth: int, current: Tuple[int, ...]) -> Tuple:
-        """Hashable content key relative to the iteration ``current``.
+    def rel_key(self, depth: int) -> Tuple[int, Tuple, Optional[int]]:
+        """``(version, canonical part, max own coordinate)`` of the set's
+        content relative to the loop at ``depth``.
 
-        Two set states produce equal keys (within one execution of the
-        hashing loop, i.e. for a fixed iterator prefix) iff their symbols
-        agree after re-basing onto the current iteration — the symbolic
-        equality of Theorem 3.
+        :meth:`SymbolicCache.snapshot_key` turns it into a key relative
+        to the current iteration: two set states produce equal keys
+        (within one execution of the hashing loop, i.e. for a fixed
+        iterator prefix) iff their symbols agree after re-basing onto the
+        current iteration — the symbolic equality of Theorem 3.
 
         The key splits into a *canonical part* that depends only on the
-        contents (cached until the set is modified) and a scalar that
-        re-bases the warped iterator: symbol coordinates other than the
-        loop's own dim are kept absolute (the prefix is fixed within an
-        execution; deeper coordinates repeat exactly across matching
-        iterations), while own-dim coordinates are normalised by the
-        set's maximum own coordinate, whose offset from the current
-        iterator value becomes the scalar component.
+        contents (cached until the set is modified, which bumps
+        ``version``) and a scalar that re-bases the warped iterator:
+        symbol coordinates other than the loop's own dim are kept
+        absolute (the prefix is fixed within an execution; deeper
+        coordinates repeat exactly across matching iterations), while
+        own-dim coordinates are normalised by the set's maximum own
+        coordinate, whose offset from the current iterator value becomes
+        the scalar component.
 
         The canonical part is one flat tuple: the policy state, then per
-        way either None (empty) or the node's id followed by its point's
+        way either None (empty) or the node followed by its point's
         coordinates.  A node's points all have one length, so the flat
         tuple still determines every way.
         """
         own_index = depth - 1
         cached = self._key_cache.get(depth)
-        if cached is None or cached[0] != self.version:
-            owns = [sym[1][own_index] for sym in self.syms
+        if cached is not None and cached[0] == self.version:
+            return cached
+        syms = self.syms
+        flat = [self.policy_state]
+        try:
+            owns = [sym[1][own_index] for sym in syms]
+        except (TypeError, IndexError):
+            # An empty way, or the symbol of a node outside the loop.
+            owns = [sym[1][own_index] for sym in syms
                     if sym is not None and len(sym[1]) > own_index]
             max_own = max(owns) if owns else None
-            flat = [self.policy_state]
-            for sym in self.syms:
+            for sym in syms:
                 if sym is None:
                     flat.append(None)
                     continue
                 node, point = sym
-                flat.append(id(node))
+                flat.append(node)
                 flat += point
                 if len(point) > own_index:
                     flat[own_index - len(point)] -= max_own
-            cached = (self.version, tuple(flat), max_own)
-            self._key_cache[depth] = cached
-        _, canonical, max_own = cached
-        scalar = None if max_own is None else max_own - current[own_index]
-        return (canonical, scalar)
+        else:
+            # Every way holds a symbol with an own coordinate.
+            max_own = max(owns)
+            for node, point in syms:
+                flat.append(node)
+                flat += point
+                flat[own_index - len(point)] -= max_own
+        cached = self._key_cache[depth] = (self.version, tuple(flat), max_own)
+        return cached
 
     def clone(self) -> "SymbolicSetState":
         copy = SymbolicSetState.__new__(SymbolicSetState)
@@ -253,12 +267,19 @@ class SymbolicCache:
         difference of the two states' ``mru_set`` values.
         """
         obs.count("sym.snapshot_keys")
-        num_sets = self.config.num_sets
-        per_set = tuple(
-            self.sets[(self.mru_set + k) % num_sets].rel_key(depth, current)
-            for k in range(num_sets)
-        )
-        return per_set
+        own = current[depth - 1]
+        sets = self.sets
+        mru = self.mru_set
+        # Per set in rotation order: its canonical part, then the offset
+        # of its maximum own coordinate from the current iterator value.
+        key = []
+        for set_state in sets[mru:] + sets[:mru]:
+            cached = set_state._key_cache.get(depth)
+            if cached is None or cached[0] != set_state.version:
+                cached = set_state.rel_key(depth)
+            key.append(cached[1])
+            key.append(None if cached[2] is None else cached[2] - own)
+        return tuple(key)
 
     # -- warping -----------------------------------------------------------------------
 
@@ -275,17 +296,24 @@ class SymbolicCache:
         num_sets = self.config.num_sets
         total_rot = (rotation * count) % num_sets
         shift_blocks_cache: dict = {}
+        # The advance of a point, padded with zeros to the point's length
+        # (coordinates past ``delta`` stay put), and each moved point.
+        advances: dict = {}
+        moved_points: dict = {}
         new_sets: List[Optional[SymbolicSetState]] = [None] * num_sets
         block_size = self.config.block_size
         for index, set_state in enumerate(self.sets):
             target = (index + total_rot) % num_sets
             moved = set_state.clone()
-            for line, sym in enumerate(moved.syms):
+            syms = moved.syms
+            lines = moved.lines
+            for line, sym in enumerate(syms):
                 if sym is None:
                     continue
                 node, point = sym
                 key = id(node)
-                if key not in shift_blocks_cache:
+                blocks = shift_blocks_cache.get(key)
+                if blocks is None:
                     shift = sum(
                         c * d for c, d in zip(node.coeff_vector(), delta)
                     )
@@ -293,14 +321,19 @@ class SymbolicCache:
                         raise ValueError(
                             "warp applied with non-block-aligned shift"
                         )
-                    shift_blocks_cache[key] = (shift * count) // block_size
-                new_point = tuple(
-                    value + delta[k] * count if k < len(delta) else value
-                    for k, value in enumerate(point)
-                )
-                moved.syms[line] = (node, new_point)
-                moved.lines[line] = (moved.lines[line]
-                                     + shift_blocks_cache[key])
+                    blocks = shift_blocks_cache[key] = (
+                        (shift * count) // block_size)
+                new_point = moved_points.get(point)
+                if new_point is None:
+                    advance = advances.get(len(point))
+                    if advance is None:
+                        advance = advances[len(point)] = tuple(
+                            delta[k] * count if k < len(delta) else 0
+                            for k in range(len(point)))
+                    new_point = moved_points[point] = tuple(
+                        map(add, point, advance))
+                syms[line] = (node, new_point)
+                lines[line] += blocks
             new_sets[target] = moved
         self.sets = new_sets  # type: ignore[assignment]
         self.mru_set = (self.mru_set + total_rot) % num_sets

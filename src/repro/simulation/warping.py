@@ -152,6 +152,12 @@ class _WarpingRunner:
         self._last_n = 0
         # Static per-(loop, node) classification for FurthestByDomains.
         self._invariance: Dict[Tuple[int, int], str] = {}
+        # Static per-loop facts every warp attempt reuses (_LoopPlan).
+        self._plans: Dict[int, _LoopPlan] = {}
+        # Per-(loop, node) guard bounds compiled for _interval_conflict
+        # and domain/address terms compiled for _touched_hull_fast.
+        self._interval_plans: Dict[Tuple[int, int], tuple] = {}
+        self._hull_plans: Dict[Tuple[int, int], object] = {}
         # Static pair-level disjointness for FurthestByOverlap.
         self._pair_disjoint: Dict[Tuple[int, int], bool] = {}
         # Per-loop-node count of executions that found no match at all.
@@ -191,6 +197,11 @@ class _WarpingRunner:
             return
         stride = loop.stride
         depth = loop.depth
+        # An innermost loop under match detection runs one iteration at
+        # a time, all from one list of entries.
+        entries = executor.entries(loop, prefix) if leaf else None
+        levels = self.levels
+        single = levels[0] if len(levels) == 1 else None
         check_domain = not loop._bounds_exact
         had_match = False
         history: Dict[Tuple, Tuple[int, Tuple[Tuple[int, int], ...], int]] = {}
@@ -214,12 +225,17 @@ class _WarpingRunner:
                 # lookup/update) is one warp.bookkeeping span when
                 # profiling; warp.analysis nests inside it.
                 with obs.span("warp.bookkeeping"):
-                    key = tuple(
-                        level.snapshot_key(depth, point)
-                        for level in self.levels
-                    )
-                    entry = history.get(key)
-                    if entry is not None:
+                    if single is not None:
+                        key = single.snapshot_key(depth, point)
+                    else:
+                        key = tuple([level.snapshot_key(depth, point)
+                                     for level in levels])
+                    # This iteration's entry; one hash when the key is new.
+                    now = (value,
+                           tuple([(lvl.hits, lvl.misses) for lvl in levels]),
+                           executor.accesses + self.warped_accesses)
+                    entry = history.setdefault(key, now)
+                    if entry is not now:
                         had_match = True
                         i0, counters0, acc0 = entry
                         delta = value - i0
@@ -236,6 +252,10 @@ class _WarpingRunner:
                                 value = value + delta * self._last_n
                                 point = prefix + (value,)
                                 fail_streak = 0
+                                now = (value,
+                                       tuple([(lvl.hits, lvl.misses)
+                                              for lvl in levels]),
+                                       self.accesses)
                             else:
                                 fail_streak += 1
                                 if fail_streak >= self.max_fail_streak:
@@ -245,15 +265,16 @@ class _WarpingRunner:
                                     # (sound: warping is an
                                     # acceleration, never required).
                                     matching = False
-                    counters = tuple((lvl.hits, lvl.misses)
-                                     for lvl in self.levels)
-                    history[key] = (value, counters, self.accesses)
+                        history[key] = now
             if not warped:
-                for child in body:
-                    if child.__class__ is tuple:
-                        executor.run_point(child, point)
-                    else:
-                        self.run_loop(child, point)
+                if leaf:
+                    executor.run_once(entries, point)
+                else:
+                    for child in body:
+                        if child.__class__ is tuple:
+                            executor.run_point(child, point)
+                        else:
+                            self.run_loop(child, point)
                 value += stride
         if self.enable_warping and loop._bounds_exact and (
                 matching or had_match):
@@ -275,7 +296,8 @@ class _WarpingRunner:
         the shift-derived rotation is sound even when the state is
         rotation-symmetric.
         """
-        nodes = list(loop.access_descendants())
+        plan = self._plan(loop)
+        nodes = plan.nodes
         own_index = loop.depth - 1
         modulus = self.shard_modulus
 
@@ -283,9 +305,7 @@ class _WarpingRunner:
         # shard modulus (makes the induced block mapping a constant
         # shift that stays inside the shard's residue class).
         shifts: Dict[int, int] = {}
-        for node in nodes:
-            coeff = (node.coeff_vector()[own_index]
-                     if own_index < len(node.dims) else 0)
+        for node, coeff in zip(nodes, plan.coeffs):
             byte_shift = coeff * delta
             if byte_shift % self._shift_unit != 0:
                 if self._region_empty(node, loop, prefix, i0, last,
@@ -320,22 +340,20 @@ class _WarpingRunner:
         # nodes may come from outside this loop).
         point_i1 = prefix + (i1,)
         point_i0 = prefix + (i0,)
+        cached_nodes = {sym[0] for level in self.levels
+                        for set_state in level.sets
+                        for sym in set_state.syms if sym is not None}
         entry_shifts: Dict[int, int] = {}
-        for level in self.levels:
-            for set_state in level.sets:
-                for sym in set_state.syms:
-                    if sym is None:
-                        continue
-                    node, _ = sym
-                    if id(node) in entry_shifts or id(node) in shifts:
-                        continue
-                    coeff = (node.coeff_vector()[own_index]
-                             if own_index < len(node.dims) else 0)
-                    byte_shift = coeff * delta
-                    if byte_shift % self._shift_unit != 0:
-                        obs.count("warp.reject.entry_shift")
-                        return False
-                    entry_shifts[id(node)] = byte_shift // self.block_size
+        for node in cached_nodes:
+            if id(node) in shifts:
+                continue
+            coeff = (node.coeff_vector()[own_index]
+                     if own_index < len(node.dims) else 0)
+            byte_shift = coeff * delta
+            if byte_shift % self._shift_unit != 0:
+                obs.count("warp.reject.entry_shift")
+                return False
+            entry_shifts[id(node)] = byte_shift // self.block_size
         entry_shifts.update(shifts)
 
         # (d) FurthestByDomains and FurthestByOverlap bounds (exclusive).
@@ -380,6 +398,13 @@ class _WarpingRunner:
         return True
 
     # -- polyhedral applicability analysis ----------------------------------------
+
+    def _plan(self, loop: LoopNode) -> "_LoopPlan":
+        """The static facts of ``loop`` that every warp attempt reuses."""
+        plan = self._plans.get(id(loop))
+        if plan is None:
+            plan = self._plans[id(loop)] = _LoopPlan(self, loop)
+        return plan
 
     def _region_empty(self, node: AccessNode, loop: LoopNode,
                       prefix: Tuple[int, ...], i0: int, last: int,
@@ -470,11 +495,7 @@ class _WarpingRunner:
         if cached is not None:
             return cached
         bound = last + loop.stride
-        own = loop.iterator
-        for node in loop.access_descendants():
-            shape = self._classify_invariance(loop, node)
-            if shape == "free":
-                continue
+        for node, shape in self._plan(loop).guarded:
             if shape == "interval":
                 conflict = self._interval_conflict(
                     loop, node, prefix, i0, last)
@@ -498,18 +519,16 @@ class _WarpingRunner:
         boundary crossing inside [i0, last] — warping across it would
         replay the wrong pattern.
         """
-        own = loop.iterator
-        assignment = dict(zip(loop.dims[:-1], prefix))
+        key = (id(loop), id(node))
+        bounds = self._interval_plans.get(key)
+        if bounds is None:
+            bounds = self._interval_plans[key] = _own_bounds(loop, node)
         alo: Optional[int] = None
         ahi: Optional[int] = None
-        domain = node.full_domain
-        for expr, is_eq in ([(e, True) for e in domain.eqs]
-                            + [(e, False) for e in domain.ineqs]):
-            coeff = int(expr.coeff(own))
-            if coeff == 0:
-                continue
-            rest = expr - LinExpr.var(own, coeff)
-            value = int(rest.evaluate(assignment))
+        for coeff, value, terms, is_eq in bounds:
+            for at, term in terms:
+                value += term * prefix[at]
+            value = int(value)
             if coeff > 0:
                 # coeff*own + value >= 0  ->  own >= ceil(-value/coeff)
                 lo_bound = -(value // coeff)
@@ -547,34 +566,23 @@ class _WarpingRunner:
         cached_bound = analysis_cache.get(memo_key)
         if cached_bound is not None:
             return cached_bound
-        own_index = loop.depth - 1
-        nodes = list(loop.access_descendants())
         bound = last + loop.stride
-        own = loop.iterator
-        for ia, node_a in enumerate(nodes):
-            coeff_a = (node_a.coeff_vector()[own_index]
-                       if own_index < len(node_a.dims) else 0)
-            for node_b in nodes[ia:]:
-                coeff_b = (node_b.coeff_vector()[own_index]
-                           if own_index < len(node_b.dims) else 0)
-                if coeff_a == coeff_b:
-                    continue  # identical shift: always compatible
-                if self._arrays_disjoint(node_a, node_b):
-                    continue  # distinct arrays, disjoint block ranges
-                key = ("overlap", id(node_a), id(node_b))
-                cached = analysis_cache.get(key)
-                if cached is not None:
-                    cached_i0, conflict = cached
-                    if conflict is None and i0 >= cached_i0:
-                        continue  # no conflict over a superset interval
-                    if conflict is not None and conflict >= i0:
-                        bound = min(bound, conflict)
-                        continue
-                conflict = self._overlap_conflict(
-                    loop, prefix, node_a, node_b, i0, last)
-                analysis_cache[key] = (i0, conflict)
-                if conflict is not None:
+        # Only pairs that shift differently and may share blocks.
+        for node_a, node_b in self._plan(loop).pairs:
+            key = ("overlap", id(node_a), id(node_b))
+            cached = analysis_cache.get(key)
+            if cached is not None:
+                cached_i0, conflict = cached
+                if conflict is None and i0 >= cached_i0:
+                    continue  # no conflict over a superset interval
+                if conflict is not None and conflict >= i0:
                     bound = min(bound, conflict)
+                    continue
+            conflict = self._overlap_conflict(
+                loop, prefix, node_a, node_b, i0, last)
+            analysis_cache[key] = (i0, conflict)
+            if conflict is not None:
+                bound = min(bound, conflict)
         analysis_cache[memo_key] = bound
         return bound
 
@@ -647,10 +655,8 @@ class _WarpingRunner:
         node's touched blocks by their [min, max] hull: the checks become
         stricter, so a warp is never wrongly admitted.
         """
-        own = loop.iterator
-        depth = loop.depth
         hulls: List[Tuple[int, int, int]] = []  # (lo_block, hi_block, shift)
-        for node in loop.access_descendants():
+        for node in self._plan(loop).nodes:
             if id(node) not in shifts:
                 continue  # proven not to execute in the region
             key = ("hull", id(node), i0, bound)
@@ -664,31 +670,39 @@ class _WarpingRunner:
             hulls.append((hull[0], hull[1], shifts[id(node)]))
 
         modulus = self.shard_modulus
+        # Per entry shift, the hulls that shift by something else, as
+        # (lo, hi, lo + shift, hi + shift): only those can disagree.
+        differing: Dict[int, List[Tuple[int, int, int, int]]] = {}
         for level, rotation in zip(self.levels, level_rotations):
             num_sets = level.config.num_sets
             for node_hull in hulls:
                 if (node_hull[2] // modulus) % num_sets != rotation:
                     return False
             for set_state in level.sets:
+                lines = set_state.lines
                 for line, sym in enumerate(set_state.syms):
                     if sym is None:
                         continue
-                    node, _ = sym
-                    entry_shift = entry_shifts[id(node)]
-                    b1 = set_state.lines[line]
+                    entry_shift = entry_shifts[id(sym[0])]
+                    # The entry's own movement must respect the rotation.
+                    if (entry_shift // modulus) % num_sets != rotation:
+                        return False
+                    others = differing.get(entry_shift)
+                    if others is None:
+                        others = differing[entry_shift] = [
+                            (lo, hi, lo + shift, hi + shift)
+                            for lo, hi, shift in hulls
+                            if shift != entry_shift]
+                    if not others:
+                        continue
+                    b1 = lines[line]
                     b0 = b1 - entry_shift
                     # b0 must map consistently under every hull covering it
                     # (pi's domain side), and b1 under every shifted hull
                     # (pi's range side).
-                    for lo, hi, shift in hulls:
-                        if lo <= b0 <= hi and shift != entry_shift:
+                    for lo, hi, lo1, hi1 in others:
+                        if lo <= b0 <= hi or lo1 <= b1 <= hi1:
                             return False
-                        if lo + shift <= b1 <= hi + shift and \
-                                shift != entry_shift:
-                            return False
-                    # The entry's own movement must respect the rotation.
-                    if (entry_shift // modulus) % num_sets != rotation:
-                        return False
         return True
 
     def _touched_hull(self, node: AccessNode, loop: LoopNode,
@@ -726,36 +740,31 @@ class _WarpingRunner:
         and deeper iterators): the domain is then a product of intervals
         and the affine address attains its extrema at a corner picked by
         coefficient signs.  Returns NotImplemented when not applicable
-        (the ILP path handles the general case).
+        (the ILP path handles the general case).  The constraints are
+        compiled once per (loop, node), see :func:`_hull_terms`.
         """
-        domain = node.full_domain
-        if domain is None or domain.divs or domain.exists:
+        key = (id(loop), id(node))
+        plan = self._hull_plans.get(key)
+        if plan is None:
+            plan = self._hull_plans[key] = _hull_terms(loop, node)
+        if plan is NotImplemented:
             return NotImplemented
-        depth = loop.depth
-        fixed = dict(zip(loop.dims[:depth - 1], prefix))
-        free_dims = node.dims[depth - 1:]
-        own = loop.iterator
-        bounds = {dim: [None, None] for dim in free_dims}
-        for expr, is_eq in ([(e, True) for e in domain.eqs]
-                            + [(e, False) for e in domain.ineqs]):
-            free = [d for d in free_dims if expr.coeff(d) != 0]
-            if len(free) > 1:
+        steps, own_at, addr_const, addr_terms, addr_free = plan
+        los: List[Optional[int]] = [None] * len(addr_free)
+        his: List[Optional[int]] = [None] * len(addr_free)
+        for step in steps:
+            if step is None:
                 return NotImplemented
-            if not free:
+            at, coeff, value, terms, is_eq = step
+            for position, term in terms:
+                value += term * prefix[position]
+            if at < 0:
                 # Pure guard over the prefix: check it.
-                if any(d not in fixed for d in expr.dims()):
-                    return NotImplemented
-                value = expr.evaluate(fixed)
                 if (value != 0) if is_eq else (value < 0):
                     return None
                 continue
-            dim = free[0]
-            coeff = int(expr.coeff(dim))
-            rest = expr - LinExpr.var(dim, coeff)
-            if any(d not in fixed for d in rest.dims()):
-                return NotImplemented
-            value = int(rest.evaluate(fixed))
-            lo, hi = bounds[dim]
+            value = int(value)
+            lo, hi = los[at], his[at]
             if coeff > 0:
                 candidate = -(value // coeff)
                 lo = candidate if lo is None else max(lo, candidate)
@@ -768,24 +777,21 @@ class _WarpingRunner:
                 if is_eq:
                     lower = -((-value) // -coeff)
                     lo = lower if lo is None else max(lo, lower)
-            bounds[dim] = [lo, hi]
-        own_lo, own_hi = bounds.get(own, [None, None])
-        own_lo = i0 if own_lo is None else max(own_lo, i0)
-        own_hi = (last_inclusive if own_hi is None
-                  else min(own_hi, last_inclusive))
-        bounds[own] = [own_lo, own_hi]
-        lo_addr = hi_addr = int(node.addr_expr.constant)
-        for dim, val in fixed.items():
-            coeff = int(node.addr_expr.coeff(dim))
-            lo_addr += coeff * val
-            hi_addr += coeff * val
-        for dim in free_dims:
-            lo, hi = bounds[dim]
+            los[at], his[at] = lo, hi
+        if own_at is not None:
+            lo, hi = los[own_at], his[own_at]
+            los[own_at] = i0 if lo is None else max(lo, i0)
+            his[own_at] = (last_inclusive if hi is None
+                           else min(hi, last_inclusive))
+        lo_addr = addr_const
+        for position, term in addr_terms:
+            lo_addr += term * prefix[position]
+        hi_addr = lo_addr
+        for lo, hi, coeff in zip(los, his, addr_free):
             if lo is None or hi is None:
                 return NotImplemented  # unbounded free dim: ILP decides
             if lo > hi:
                 return None  # empty region
-            coeff = int(node.addr_expr.coeff(dim))
             if coeff >= 0:
                 lo_addr += coeff * lo
                 hi_addr += coeff * hi
@@ -793,6 +799,119 @@ class _WarpingRunner:
                 lo_addr += coeff * hi
                 hi_addr += coeff * lo
         return lo_addr // self.block_size, hi_addr // self.block_size
+
+
+class _LoopPlan:
+    """What every warp attempt at one loop node reuses.
+
+    ``nodes`` are the loop's access descendants in program order and
+    ``coeffs`` their byte coefficients on the loop's iterator.
+    ``guarded`` lists ``(node, shape)`` for the nodes whose guards can cut
+    a warp short (FurthestByDomains: every shape but "free"), and
+    ``pairs`` the node pairs that shift differently and may share blocks
+    (FurthestByOverlap), both in program order.
+    """
+
+    __slots__ = ("nodes", "coeffs", "guarded", "pairs")
+
+    def __init__(self, runner: _WarpingRunner, loop: LoopNode):
+        own_index = loop.depth - 1
+        self.nodes = tuple(loop.access_descendants())
+        self.coeffs = tuple(
+            node.coeff_vector()[own_index] if own_index < len(node.dims)
+            else 0
+            for node in self.nodes)
+        shapes = [(node, runner._classify_invariance(loop, node))
+                  for node in self.nodes]
+        self.guarded = tuple((node, shape) for node, shape in shapes
+                             if shape != "free")
+        pairs = []
+        for ia, (node_a, coeff_a) in enumerate(zip(self.nodes,
+                                                   self.coeffs)):
+            for node_b, coeff_b in zip(self.nodes[ia:], self.coeffs[ia:]):
+                if coeff_a == coeff_b:
+                    continue  # identical shift: always compatible
+                if runner._arrays_disjoint(node_a, node_b):
+                    continue  # distinct arrays, disjoint block ranges
+                pairs.append((node_a, node_b))
+        self.pairs = tuple(pairs)
+
+
+def _terms(expr: LinExpr, position: Dict[str, int]) -> tuple:
+    """``expr``'s nonzero coefficients as ``((prefix position, coeff),
+    ...)``."""
+    return tuple((position[dim], coeff)
+                 for dim, coeff in expr.coeffs.items())
+
+
+def _own_bounds(loop: LoopNode, node: AccessNode) -> tuple:
+    """The constraints of ``node``'s domain that involve ``loop``'s
+    iterator, as ``(own coeff, constant, terms, is equality)`` with the
+    rest of each constraint compiled over the loop's outer iterators."""
+    own = loop.iterator
+    position = {dim: at for at, dim in enumerate(loop.dims[:-1])}
+    domain = node.full_domain
+    bounds = []
+    for expr, is_eq in ([(e, True) for e in domain.eqs]
+                        + [(e, False) for e in domain.ineqs]):
+        coeff = int(expr.coeff(own))
+        if coeff == 0:
+            continue
+        rest = expr - LinExpr.var(own, coeff)
+        bounds.append((coeff, rest.constant, _terms(rest, position), is_eq))
+    return tuple(bounds)
+
+
+def _hull_terms(loop: LoopNode, node: AccessNode):
+    """Compile ``node``'s domain and address for
+    :meth:`_WarpingRunner._touched_hull_fast`, or NotImplemented.
+
+    Returns ``(steps, own_at, addr_const, addr_terms, addr_free)``.  The
+    steps follow the domain's constraints in order: ``(-1, 0, constant,
+    terms, is_eq)`` for a guard over the outer iterators, ``(free index,
+    coeff, constant, terms, is_eq)`` for a bound on one free dimension
+    (the loop's own and deeper iterators), and None where the fast path
+    gives up.  ``own_at`` indexes the loop's iterator among the free
+    dimensions, and the address is ``addr_const`` plus ``addr_terms``
+    over the outer iterators plus ``addr_free`` over the free ones.
+    """
+    domain = node.full_domain
+    if domain is None or domain.divs or domain.exists:
+        return NotImplemented
+    depth = loop.depth
+    position = {dim: at for at, dim in enumerate(loop.dims[:depth - 1])}
+    free_dims = node.dims[depth - 1:]
+    steps = []
+    for expr, is_eq in ([(e, True) for e in domain.eqs]
+                        + [(e, False) for e in domain.ineqs]):
+        free = [d for d in free_dims if expr.coeff(d) != 0]
+        if len(free) > 1:
+            steps.append(None)
+            break
+        if not free:
+            if any(d not in position for d in expr.dims()):
+                steps.append(None)
+                break
+            steps.append((-1, 0, expr.constant, _terms(expr, position),
+                          is_eq))
+            continue
+        dim = free[0]
+        coeff = int(expr.coeff(dim))
+        rest = expr - LinExpr.var(dim, coeff)
+        if any(d not in position for d in rest.dims()):
+            steps.append(None)
+            break
+        steps.append((free_dims.index(dim), coeff, rest.constant,
+                      _terms(rest, position), is_eq))
+    own = loop.iterator
+    own_at = free_dims.index(own) if own in free_dims else None
+    addr = node.addr_expr
+    addr_terms = tuple((at, int(addr.coeff(dim)))
+                       for dim, at in position.items()
+                       if addr.coeff(dim) != 0)
+    addr_free = tuple(int(addr.coeff(dim)) for dim in free_dims)
+    return (tuple(steps), own_at, int(addr.constant), addr_terms,
+            addr_free)
 
 
 def _same_constraints(a: Sequence[LinExpr], b: Sequence[LinExpr]) -> bool:
