@@ -4,9 +4,10 @@ The scaled workload definitions (problem-size tables and the scaled
 test-system cache configs) moved to :mod:`repro.perf.workloads` so the
 ``repro bench`` trajectory and this figure harness always measure the
 same workloads; see that module's docstring for the scaling rationale
-(DESIGN.md documents the substitution; EXPERIMENTS.md records
-paper-vs-measured shapes per figure).  This module re-exports the
-public names so every figure file keeps importing from ``common``.
+(docs/baselines.md and docs/frontend.md document the substitutions;
+each figure file's docstring states the paper's shape it checks).
+This module re-exports the public names so every figure file keeps
+importing from ``common``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices docs/simulation.md calls out.
 
 1. Rotation-only match detection: how much of the speedup do rotational
    matches account for (vs disabling warping altogether)?

@@ -10,7 +10,7 @@ enumeration as a fallback.
 This reproduction computes the same model output — exact per-access
 stack distances and the resulting miss count — with an O(N log N)
 last-access/Fenwick sweep over the access stream.  The substitution is
-documented in DESIGN.md: the *model* (fully-associative LRU via stack
+documented in docs/baselines.md: the *model* (fully-associative LRU via stack
 distances, the quantity HayStack counts) is identical; only the counting
 engine differs, preserving the comparison's shape (cheaper per access
 than full cache simulation, but cost still grows with the trace, unlike

@@ -7,7 +7,7 @@ misses of the per-set access subsequence on a fully-associative LRU cache
 of the set's associativity.  PolyCache constructs per-set Presburger miss
 sets and counts them with Barvinok; this reproduction computes identical
 per-set results via exact stack distances on the per-set subsequences
-(see DESIGN.md for the substitution rationale).  Like PolyCache, the
+(docs/baselines.md gives the substitution rationale).  Like PolyCache, the
 model is restricted to LRU.
 
 For hierarchies the model is applied incrementally, level by level: each

@@ -1,11 +1,13 @@
 """Cache sets and set-associative caches (paper Sections 2.1-2.2).
 
-The contents stored in cache lines are opaque hashable values.  Concrete
-simulation stores integer block numbers; the symbolic simulator
-(:mod:`repro.simulation.symbolic`) keeps the same per-set layout
-(``lines`` plus ``policy_state``) and stores each line's symbol beside
-it — data independence guarantees the policy behaves identically either
-way, and the shared layout lets one innermost-loop executor
+The contents stored in cache lines are opaque hashable values; concrete
+simulation stores integer block numbers.  There is one cache model: the
+symbolic cache of :mod:`repro.simulation.symbolic` is this cache whose
+sets also keep each way's symbol (``Cache.set_class`` chooses the set
+type), which is appendix A.3's constructive ``SymUpCache`` — a concrete
+update followed by re-symbolisation.  Data independence guarantees the
+policy behaves identically either way, and the shared layout (``lines``
+plus ``policy_state``) lets one innermost-loop executor
 (:mod:`repro.simulation.executor`) update both kinds of set.
 """
 
@@ -32,18 +34,19 @@ class CacheSetState:
 
     def lookup(self, block: Hashable) -> Optional[int]:
         """Line index holding ``block``, or None (ClSet, Eq. 1)."""
-        try:
+        if block in self.lines:
             return self.lines.index(block)
-        except ValueError:
-            return None
+        return None
 
     def access(self, policy: ReplacementPolicy, block: Hashable,
-               allocate: bool = True) -> Tuple[bool, Optional[int]]:
+               allocate: bool = True,
+               sym: Hashable = None) -> Tuple[bool, Optional[int]]:
         """UpSet+ClSet: access ``block``, return (hit, filled/hit line).
 
         With ``allocate=False`` (write miss under no-write-allocate) the
         set state is left unchanged on a miss and the line is None.
         The policy transition is a lookup in ``policy.table(assoc)``.
+        ``sym`` is the access's symbol; a concrete set keeps none.
         """
         lines = self.lines
         try:
@@ -58,6 +61,15 @@ class CacheSetState:
         self.policy_state = policy.table(self.assoc).after_hit(
             self.policy_state, line)
         return True, line
+
+    def empty(self, line: int) -> None:
+        """Empty way ``line``, leaving the policy state alone: inclusive
+        back-invalidation and exclusive extraction."""
+        self.lines[line] = None
+
+    def symbol(self, line: int) -> None:
+        """The symbol of way ``line``; a concrete set keeps none."""
+        return None
 
     def clone(self) -> "CacheSetState":
         copy = CacheSetState.__new__(CacheSetState)
@@ -79,7 +91,9 @@ class Cache:
 
     Implements ``ClCache``/``UpCache`` (Eqs. 3-4).  Counts hits and
     misses; classification does not distinguish reads from writes except
-    for allocation under :class:`WritePolicy`.
+    for allocation under :class:`WritePolicy`.  ``mru_set`` is the set
+    of the most recent access (the symbolic cache's snapshot keys start
+    hashing there).
 
     >>> from repro import Cache, CacheConfig
     >>> cache = Cache(CacheConfig(size_bytes=256, assoc=2,
@@ -90,25 +104,27 @@ class Cache:
     (1, 2, True)
     """
 
+    #: The type of each set (a symbolic cache's sets also keep symbols).
+    set_class = CacheSetState
+
     def __init__(self, config: CacheConfig,
                  policy: Optional[ReplacementPolicy] = None):
         self.config = config
         self.policy = policy or policy_by_name(config.policy)
-        self.sets: List[CacheSetState] = [
-            CacheSetState(config.assoc, self.policy)
-            for _ in range(config.num_sets)
-        ]
-        self.hits = 0
-        self.misses = 0
+        self.reset()
 
     # -- core transitions ------------------------------------------------------
 
-    def access(self, block: int, is_write: bool = False) -> bool:
-        """Access a memory block; returns True on hit, updates counters."""
+    def access(self, block: int, is_write: bool = False,
+               sym: Hashable = None) -> bool:
+        """Access a memory block; returns True on hit, updates counters.
+
+        ``sym`` is the access's symbol, kept by symbolic sets only."""
         allocate = (not is_write
                     or self.config.write_policy is WritePolicy.WRITE_ALLOCATE)
         index = self.config.index_of(block)
-        hit, _ = self.sets[index].access(self.policy, block, allocate)
+        self.mru_set = index
+        hit, _ = self.sets[index].access(self.policy, block, allocate, sym)
         if hit:
             self.hits += 1
         else:
@@ -128,16 +144,19 @@ class Cache:
 
     def reset(self) -> None:
         """Flush contents and counters."""
-        self.sets = [CacheSetState(self.config.assoc, self.policy)
-                     for _ in range(self.config.num_sets)]
+        self.sets: List[CacheSetState] = [
+            self.set_class(self.config.assoc, self.policy)
+            for _ in range(self.config.num_sets)]
+        self.mru_set = 0
         self.hits = 0
         self.misses = 0
 
     def clone(self) -> "Cache":
-        copy = Cache.__new__(Cache)
+        copy = type(self).__new__(type(self))
         copy.config = self.config
         copy.policy = self.policy
         copy.sets = [s.clone() for s in self.sets]
+        copy.mru_set = self.mru_set
         copy.hits = self.hits
         copy.misses = self.misses
         return copy
@@ -151,9 +170,11 @@ class Cache:
 
         Implements Eq. 5: the set bijection pi_Set induced by ``pi`` is
         derived from a representative block of each set, contents move
-        accordingly, and policy states travel with their set.  Raises if
-        ``pi`` does not preserve the partition on the stored blocks.
-        Used by tests of Theorem 1 and by concrete warping.
+        accordingly, and policy states and ``mru_set`` travel with their
+        set.  Raises if ``pi`` does not preserve the partition on the
+        stored blocks.  Used by tests of Theorem 1 and by concrete
+        warping.  A symbolic cache's symbols travel with their ways
+        unchanged (it warps with ``apply_rotation``, which shifts them).
         """
         num_sets = self.config.num_sets
         copy = self.clone()
@@ -174,6 +195,8 @@ class Cache:
             if new_sets[target] is not None:
                 raise ValueError("bijection maps two sets onto one")
             new_sets[target] = mapped
+            if index == self.mru_set:
+                copy.mru_set = target
         copy.sets = new_sets  # type: ignore[assignment]
         return copy
 

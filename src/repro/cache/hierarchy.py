@@ -25,7 +25,7 @@ they remain warpable.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Hashable, List, Optional, Tuple
 
 from repro.cache.cache import Cache
 from repro.cache.config import (
@@ -40,6 +40,11 @@ __all__ = ["CacheHierarchy", "InclusionPolicy"]
 class CacheHierarchy:
     """An N-level hierarchy under a configurable inclusion policy.
 
+    The only implementation of the three inclusion descents, for
+    concrete and symbolic levels alike: ``cache_class`` chooses the level
+    type, and each access's symbol travels down with its block (an
+    exclusive spill carries the victim's symbol along).
+
     >>> from repro import CacheConfig, CacheHierarchy, HierarchyConfig
     >>> hierarchy = CacheHierarchy(HierarchyConfig(
     ...     CacheConfig(256, 2, 32, "lru", name="L1"),
@@ -52,13 +57,17 @@ class CacheHierarchy:
     (1, 1)
     """
 
+    #: The type of each level (symbolic hierarchies keep symbols).
+    cache_class = Cache
+
     def __init__(self, config: HierarchyConfig,
                  inclusion: Optional[InclusionPolicy] = None):
         self.config = config
         self.inclusion = (InclusionPolicy.parse(inclusion)
                           if inclusion is not None
                           else config.inclusion)
-        self.levels: List[Cache] = [Cache(cfg) for cfg in config.levels]
+        self.levels: List[Cache] = [self.cache_class(cfg)
+                                    for cfg in config.levels]
         # The dominant access outcome; precomputed so the hot L1-hit
         # path allocates nothing.
         self._l1_hit_outcome: Tuple[Optional[bool], ...] = \
@@ -78,8 +87,8 @@ class CacheHierarchy:
     def depth(self) -> int:
         return len(self.levels)
 
-    def access(self, block: int, is_write: bool = False
-               ) -> Tuple[Optional[bool], ...]:
+    def access(self, block: int, is_write: bool = False,
+               sym: Hashable = None) -> Tuple[Optional[bool], ...]:
         """Access a block; returns one hit flag per level.
 
         Entry ``k`` is True/False when level k was consulted and None
@@ -88,80 +97,74 @@ class CacheHierarchy:
         hierarchies this is the legacy ``(l1_hit, l2_hit or None)``
         pair.  A write miss under a no-write-allocate level propagates
         to the next level, where that level's write policy applies.
+        ``sym`` is the access's symbol, kept by symbolic levels only.
         """
-        if self.inclusion is InclusionPolicy.NINE:
-            return self._access_nine(block, is_write)
-        if self.inclusion is InclusionPolicy.INCLUSIVE:
-            return self._access_inclusive(block, is_write)
-        return self._access_exclusive(block, is_write)
+        if self.inclusion is InclusionPolicy.EXCLUSIVE:
+            return self._access_exclusive(block, is_write, sym)
+        return self._access_descend(block, is_write, sym)
 
     @staticmethod
-    def _peek_victim(cache: Cache, set_state) -> Optional[int]:
-        """The block the next allocation in ``set_state`` would evict."""
+    def _peek_victim(cache: Cache, set_state) -> Optional[Tuple]:
+        """The ``(block, symbol)`` the next allocation in ``set_state``
+        would evict, or None when it fills an empty way."""
         victim_line, _ = cache.policy.table(set_state.assoc).after_miss(
             set_state.policy_state, set_state.lines)
-        return set_state.lines[victim_line]
+        if set_state.lines[victim_line] is None:
+            return None
+        return set_state.lines[victim_line], set_state.symbol(victim_line)
 
-    def _lookup_and_update(self, level_index: int, block: int,
-                           is_write: bool, capture_victim: bool = False):
-        """One level's access; returns (hit, evicted block or None).
+    def _access_capture(self, cache: Cache, block: int, is_write: bool,
+                        sym) -> Tuple[bool, Optional[Tuple]]:
+        """``cache.access`` that also returns the ``(block, symbol)`` it
+        evicted, or None.
 
         The victim peek costs a second replacement-policy query per
-        allocating miss, so it is only performed when the inclusion
-        policy needs the victim (``capture_victim``).
+        allocating miss, so only the inclusion policies that need the
+        victim pay for it.  The set it looked up is updated here rather
+        than through ``cache.access``, which would look it up again.
         """
-        cache = self.levels[level_index]
         allocate = (not is_write
-                    or cache.config.write_policy
-                    is WritePolicy.WRITE_ALLOCATE)
-        set_state = cache.sets[cache.config.index_of(block)]
+                    or cache.config.write_policy is WritePolicy.WRITE_ALLOCATE)
+        index = cache.mru_set = cache.config.index_of(block)
+        set_state = cache.sets[index]
         victim = None
-        if (capture_victim and allocate
-                and set_state.lookup(block) is None):
+        if allocate and block not in set_state.lines:
             victim = self._peek_victim(cache, set_state)
-        hit, _ = set_state.access(cache.policy, block, allocate)
+        hit, _ = set_state.access(cache.policy, block, allocate, sym)
         if hit:
             cache.hits += 1
         else:
             cache.misses += 1
         return hit, victim
 
-    def _access_nine(self, block: int, is_write: bool):
-        hit, _ = self._lookup_and_update(0, block, is_write)
-        if hit:
-            return self._l1_hit_outcome
-        outcomes: List[Optional[bool]] = [False] + \
-            [None] * (self.depth - 1)
-        for index in range(1, self.depth):
-            hit, _ = self._lookup_and_update(index, block, is_write)
-            outcomes[index] = hit
-            if hit:
-                break
-        return tuple(outcomes)
-
-    def _access_inclusive(self, block: int, is_write: bool):
-        # A miss descends; an eviction at level k back-invalidates the
+    def _access_descend(self, block: int, is_write: bool, sym):
+        # NINE and inclusive: a miss descends until a level hits.  Under
+        # inclusion an eviction at level k also back-invalidates the
         # victim in every level closer to the core.  (The L1's own
         # victim is irrelevant, so it is not captured.)
-        hit, _ = self._lookup_and_update(0, block, is_write)
-        if hit:
+        levels = self.levels
+        if levels[0].access(block, is_write, sym):
             return self._l1_hit_outcome
+        inclusive = self.inclusion is InclusionPolicy.INCLUSIVE
         outcomes: List[Optional[bool]] = [False] + \
             [None] * (self.depth - 1)
         for index in range(1, self.depth):
-            hit, victim = self._lookup_and_update(
-                index, block, is_write, capture_victim=True)
+            if inclusive:
+                hit, victim = self._access_capture(levels[index], block,
+                                                   is_write, sym)
+                if victim is not None:
+                    for shallower in levels[:index]:
+                        self._invalidate(shallower, victim[0])
+            else:
+                hit = levels[index].access(block, is_write, sym)
             outcomes[index] = hit
-            if not hit and victim is not None:
-                for shallower in self.levels[:index]:
-                    self._invalidate(shallower, victim)
             if hit:
                 break
         return tuple(outcomes)
 
-    def _access_exclusive(self, block: int, is_write: bool):
-        hit1, victim = self._lookup_and_update(0, block, is_write,
-                                               capture_victim=True)
+    def _access_exclusive(self, block: int, is_write: bool, sym):
+        hit1, victim = self._access_capture(self.levels[0], block,
+                                            is_write, sym)
         if hit1:
             return self._l1_hit_outcome
         outcomes: List[Optional[bool]] = [False] + \
@@ -170,40 +173,43 @@ class CacheHierarchy:
         # now lives in the L1 only), so levels beyond it stay untouched.
         for index in range(1, self.depth):
             cache = self.levels[index]
-            set_state = cache.sets[cache.config.index_of(block)]
+            cache.mru_set = cache.config.index_of(block)
+            set_state = cache.sets[cache.mru_set]
             line = set_state.lookup(block)
             if line is not None:
                 cache.hits += 1
-                set_state.lines[line] = None
+                set_state.empty(line)
                 outcomes[index] = True
                 break
             cache.misses += 1
             outcomes[index] = False
-        # The L1 victim spills into the L2; the spill's victim cascades
-        # into the L3 and so on (the last level's victim leaves the
-        # hierarchy).  Spills never re-read the block, and they are not
-        # demand accesses, so they do not touch the hit/miss counters.
-        for index in range(1, self.depth):
+        # The L1 victim spills into the L2 with its symbol; the spill's
+        # victim cascades into the L3 and so on (the last level's victim
+        # leaves the hierarchy).  Spills never re-read the block, and
+        # they are not demand accesses, so they do not touch the
+        # hit/miss counters.
+        for cache in self.levels[1:]:
             if victim is None:
                 break
-            victim = self._spill(index, victim)
+            victim = self._spill(cache, *victim)
         return tuple(outcomes)
 
-    def _spill(self, level_index: int, block: int) -> Optional[int]:
-        """Insert an evicted block into a victim level; returns its victim."""
-        cache = self.levels[level_index]
-        set_state = cache.sets[cache.config.index_of(block)]
+    def _spill(self, cache: Cache, block: int, sym) -> Optional[Tuple]:
+        """Insert an evicted entry into a victim level; returns its victim."""
+        cache.mru_set = cache.config.index_of(block)
+        set_state = cache.sets[cache.mru_set]
         victim = None
-        if set_state.lookup(block) is None:
+        if block not in set_state.lines:
             victim = self._peek_victim(cache, set_state)
-        set_state.access(cache.policy, block, True)
+        set_state.access(cache.policy, block, True, sym)
         return victim
 
-    def _invalidate(self, cache: Cache, block: int) -> None:
+    @staticmethod
+    def _invalidate(cache: Cache, block: int) -> None:
         set_state = cache.sets[cache.config.index_of(block)]
         line = set_state.lookup(block)
         if line is not None:
-            set_state.lines[line] = None
+            set_state.empty(line)
 
     @property
     def l1_misses(self) -> int:
@@ -227,7 +233,7 @@ class CacheHierarchy:
             cache.reset()
 
     def clone(self) -> "CacheHierarchy":
-        copy = CacheHierarchy.__new__(CacheHierarchy)
+        copy = type(self).__new__(type(self))
         copy.config = self.config
         copy.inclusion = self.inclusion
         copy.levels = [cache.clone() for cache in self.levels]
@@ -239,7 +245,7 @@ class CacheHierarchy:
 
     def apply_bijection(self, pi: Callable[[int], int]) -> "CacheHierarchy":
         """Apply a block bijection to every level (Corollary 5)."""
-        copy = CacheHierarchy.__new__(CacheHierarchy)
+        copy = type(self).__new__(type(self))
         copy.config = self.config
         copy.inclusion = self.inclusion
         copy.levels = [cache.apply_bijection(pi) for cache in self.levels]

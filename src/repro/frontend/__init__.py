@@ -1,4 +1,4 @@
-"""A mini-C frontend for SCoPs (substitute for pet, cf. DESIGN.md).
+"""A mini-C frontend for SCoPs (substitute for pet, see docs/frontend.md).
 
 Parses the static-control subset of C that PolyBench-style kernels use —
 array declarations, affine ``for`` nests, affine ``if`` guards, and

@@ -28,16 +28,18 @@ lookup and update, keeping the counters in locals; the policy update is
 a lookup in the L1 policy's transition table
 (:class:`~repro.cache.policies.base.TransitionTable`),
 ``hit[state][line]`` on a hit and ``evict[state]`` on a miss into a full
-set.  Only L1 misses of a hierarchy descend through a per-target hook.
-Any other target (hashed placement, inclusive or exclusive hierarchies)
-gets one ``access`` call per access.
+set.  Only L1 misses of a hierarchy descend, level by level, through
+``Cache.access``.  Any other target (hashed placement, inclusive or
+exclusive hierarchies) gets one ``target.access(block, is_write, sym)``
+call per access.
 
-Concrete caches (:class:`~repro.cache.cache.Cache`) and symbolic caches
-(:class:`~repro.simulation.symbolic.SymbolicCache`) share the set layout
-the inlined update relies on: ``lines`` (the block in each way) and
-``policy_state``.  On a symbolic cache the update also stores the
-access's symbol ``(node, point)`` in the way, bumps the set's version and
-records the most recently used set.
+A symbolic cache (:class:`~repro.simulation.symbolic.SymbolicCache`) is
+a concrete :class:`~repro.cache.cache.Cache` whose sets also keep each
+way's symbol, so both share the set layout the inlined update relies
+on: ``lines`` (the block in each way) and ``policy_state``.  On a
+symbolic cache the update also stores the access's symbol
+``(node, point)`` in the way and bumps the set's version; on either kind
+it records the most recently used set.
 
 Profiling costs O(loop executions), not O(accesses): under an active
 tracer every call is timed as one window, ``sym.access`` on symbolic
@@ -59,8 +61,8 @@ from repro.cache.config import (
     ShardedCacheConfig,
     WritePolicy,
 )
-from repro.cache.hierarchy import CacheHierarchy
 from repro.polyhedral.model import AccessNode, LoopNode
+from repro.simulation.symbolic import SymbolicCache
 
 #: A loop body: the loop's children in program order, with every run of
 #: consecutive access nodes grouped into one tuple.
@@ -76,23 +78,23 @@ def _modulo_placed(config: CacheConfig) -> bool:
 class LeafExecutor:
     """Performs the accesses of loop bodies on one simulation target.
 
-    ``target`` is a concrete :class:`Cache` or :class:`CacheHierarchy`,
-    or a symbolic target (anything with ``levels`` of symbolic caches
-    and ``access(block, sym, is_write)``, such as
-    :class:`~repro.simulation.symbolic.SingleLevel` and
-    :class:`~repro.simulation.symbolic.SymbolicHierarchy`).
-    ``accesses`` counts the accesses performed so far.  The tracer
-    active at construction, if any, receives the timing windows.
+    ``target`` is a :class:`Cache` or a
+    :class:`~repro.cache.hierarchy.CacheHierarchy`, concrete or symbolic
+    (:class:`~repro.simulation.symbolic.SymbolicCache`,
+    :class:`~repro.simulation.symbolic.SymbolicHierarchy`); ``levels``
+    are its caches, innermost first.  ``accesses`` counts the accesses
+    performed so far.  The tracer active at construction, if any,
+    receives the timing windows.
     """
 
-    __slots__ = ("symbolic", "block_size", "modulus", "residue",
+    __slots__ = ("levels", "symbolic", "block_size", "modulus", "residue",
                  "accesses", "_access", "_l1", "_descend", "_bodies",
                  "_tracer", "_span")
 
     def __init__(self, target):
-        levels = (target,) if isinstance(target, Cache) else tuple(
-            target.levels)
-        self.symbolic = not isinstance(target, (Cache, CacheHierarchy))
+        levels = self.levels = ((target,) if isinstance(target, Cache)
+                                else tuple(target.levels))
+        self.symbolic = isinstance(levels[0], SymbolicCache)
         config = levels[0].config
         self.block_size = config.block_size
         # Set sharding: only blocks of the shard's residue class are
@@ -105,13 +107,7 @@ class LeafExecutor:
                         self.modulus, self.residue):
                 raise ValueError("all hierarchy levels must share one shard")
         self.accesses = 0
-        #: per-access hook ``(block, sym, is_write)``; ``sym`` is None on
-        #: concrete targets, which take no symbols
-        if self.symbolic:
-            self._access = target.access
-        else:
-            self._access = (lambda block, sym, is_write:
-                            target.access(block, is_write))
+        self._access = target.access
         inclusion = getattr(target, "inclusion", InclusionPolicy.NINE)
         inline = (_modulo_placed(config)
                   and inclusion is InclusionPolicy.NINE)
@@ -128,7 +124,7 @@ class LeafExecutor:
                         table.evict_entry, table.after_miss,
                         config.write_policy is WritePolicy.WRITE_ALLOCATE)
         #: NINE descent of an L1 miss into the outer levels, or None
-        self._descend = (_nine_descent(levels[1:], self.symbolic)
+        self._descend = (_nine_descent(levels[1:])
                          if inline and len(levels) > 1 else None)
         self._bodies: Dict[int, Tuple[Body, bool]] = {}
         self._tracer = obs.current()
@@ -237,7 +233,7 @@ class LeafExecutor:
                     sym = (info[0], point) if symbolic else None
                     if cache is None:
                         count += 1
-                        access(block, sym, info[4])
+                        access(block, info[4], sym)
                         continue
                     index = (block // modulus if sharded
                              else block) % num_sets
@@ -248,7 +244,7 @@ class LeafExecutor:
                     except ValueError:
                         misses += 1
                         if descend is not None:
-                            descend(block, sym, info[4])
+                            descend(block, info[4], sym)
                         if info[4] and not allocate_writes:
                             continue
                         policy_state = state.policy_state
@@ -280,7 +276,7 @@ class LeafExecutor:
             count = hits + misses - cache.hits - cache.misses
             cache.hits = hits
             cache.misses = misses
-            if symbolic and index is not None:
+            if index is not None:
                 cache.mru_set = index
         self.accesses += count
         if tracer is not None:
@@ -298,17 +294,11 @@ def _entries(nodes: Sequence[AccessNode], prefix: Tuple[int, ...]) -> list:
             for node in nodes]
 
 
-def _nine_descent(outer, symbolic: bool):
+def _nine_descent(outer):
     """Hook: an L1 miss under NINE accesses the outer levels in turn
     until one hits (paper Eq. 24)."""
-    if symbolic:
-        def descend(block, sym, is_write):
-            for level in outer:
-                if level.access(block, sym, is_write):
-                    return
-    else:
-        def descend(block, sym, is_write):
-            for level in outer:
-                if level.access(block, is_write):
-                    return
+    def descend(block, is_write, sym):
+        for level in outer:
+            if level.access(block, is_write, sym):
+                return
     return descend

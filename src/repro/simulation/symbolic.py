@@ -13,10 +13,17 @@ Storing *absolute* points makes iterator advancement free (the paper's
 "determine the updated symbolic cache state only on demand", footnote 2):
 relative offsets are only materialised when a loop node hashes the state.
 
-The symbolic cache performs concrete updates under the hood (appendix A.3's
-constructive ``SymUpCache``): lines additionally store the concrete block
-for lookup, so hit/miss classification is exact while symbols ride along
-for match detection.
+The symbolic cache *is* the concrete cache (appendix A.3's constructive
+``SymUpCache``: a concrete update followed by re-symbolisation).
+:class:`SymbolicSetState` is a :class:`~repro.cache.cache.CacheSetState`
+that also keeps each way's symbol, :class:`SymbolicCache` a
+:class:`~repro.cache.cache.Cache` of such sets that adds match detection
+and warping, and :class:`SymbolicHierarchy` a
+:class:`~repro.cache.hierarchy.CacheHierarchy` of symbolic caches.  Lines
+hold the concrete block for lookup, so hit/miss classification is exact
+while symbols ride along; the inclusion semantics (NINE descent,
+inclusive back-invalidation, exclusive extraction and spills) are the
+concrete hierarchy's own.
 """
 
 from __future__ import annotations
@@ -25,59 +32,53 @@ from operator import add
 from typing import List, Optional, Tuple
 
 from repro import obs
-from repro.cache.config import (
-    CacheConfig,
-    HierarchyConfig,
-    InclusionPolicy,
-    WritePolicy,
-)
-from repro.cache.policies import ReplacementPolicy, policy_by_name
+from repro.cache.cache import Cache, CacheSetState
+from repro.cache.config import CacheConfig
+from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.policies import ReplacementPolicy
 from repro.polyhedral.model import AccessNode
 
 #: A symbolic memory block: (access node, absolute iteration point).
 SymBlock = Tuple[AccessNode, Tuple[int, ...]]
 
 
-class SymbolicSetState:
+class SymbolicSetState(CacheSetState):
     """One cache set holding concrete blocks and their symbols.
 
-    ``lines[l]`` is the concrete block in way ``l`` (None = empty), the
-    same layout as :class:`repro.cache.cache.CacheSetState`; ``syms[l]``
-    is its symbol.
+    ``lines[l]`` is the concrete block in way ``l`` (None = empty), as in
+    :class:`~repro.cache.cache.CacheSetState`; ``syms[l]`` is its symbol,
+    the symbol of the access that last filled or refreshed the way.
+    ``version`` counts the updates, so :meth:`rel_key` can cache.
     """
 
-    __slots__ = ("assoc", "lines", "syms", "policy_state", "version",
-                 "_key_cache")
+    __slots__ = ("syms", "version", "_key_cache")
 
     def __init__(self, assoc: int, policy: ReplacementPolicy):
-        self.assoc = assoc
-        self.lines: List[Optional[int]] = [None] * assoc
+        super().__init__(assoc, policy)
         self.syms: List[Optional[SymBlock]] = [None] * assoc
-        self.policy_state = policy.initial_state(assoc)
         self.version = 0
         # depth -> (version, canonical part, max own-coordinate or None)
         self._key_cache: dict = {}
 
-    def access(self, policy: ReplacementPolicy, block: int, sym: SymBlock,
-               allocate: bool) -> bool:
-        """Concrete update + re-symbolisation (SymUpSet); returns hit."""
+    def access(self, policy: ReplacementPolicy, block: int,
+               allocate: bool = True,
+               sym: Optional[SymBlock] = None) -> Tuple[bool, Optional[int]]:
+        """SymUpSet: the concrete update of
+        :meth:`CacheSetState.access`, then the access's symbol is stored
+        in the way it filled or refreshed."""
         self.version += 1
-        try:
-            # list.index scans at C speed — this lookup runs once per
-            # simulated access and dominates the symbolic hot path.
-            line = self.lines.index(block)
-        except ValueError:
-            if not allocate:
-                return False
-            line, self.policy_state = policy.table(self.assoc).after_miss(
-                self.policy_state, self.lines)
-            self.lines[line] = block
+        hit, line = CacheSetState.access(self, policy, block, allocate)
+        if line is not None:
             self.syms[line] = sym
-            return False
-        self.policy_state = policy.table(self.assoc).after_hit(
-            self.policy_state, line)
-        self.syms[line] = sym
-        return True
+        return hit, line
+
+    def empty(self, line: int) -> None:
+        self.version += 1
+        self.lines[line] = None
+        self.syms[line] = None
+
+    def symbol(self, line: int) -> Optional[SymBlock]:
+        return self.syms[line]
 
     def rel_key(self, depth: int) -> Tuple[int, Tuple, Optional[int]]:
         """``(version, canonical part, max own coordinate)`` of the set's
@@ -147,114 +148,16 @@ class SymbolicSetState:
         return copy
 
 
-class SymbolicCache:
-    """A set-associative cache over symbolic blocks (one level)."""
+class SymbolicCache(Cache):
+    """A set-associative cache over symbolic blocks (one level): a
+    concrete cache whose sets also keep each way's symbol."""
 
-    __slots__ = ("config", "policy", "sets", "mru_set", "hits", "misses")
+    set_class = SymbolicSetState
 
     def __init__(self, config: CacheConfig):
-        self.config = config
-        self.policy = policy_by_name(config.policy)
-        self.sets = [SymbolicSetState(config.assoc, self.policy)
-                     for _ in range(config.num_sets)]
-        self.mru_set = 0
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, block: int, sym: SymBlock, is_write: bool) -> bool:
-        allocate = (not is_write
-                    or self.config.write_policy is WritePolicy.WRITE_ALLOCATE)
-        index = self.config.index_of(block)
-        self.mru_set = index
-        hit = self.sets[index].access(self.policy, block, sym, allocate)
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return hit
-
-    def _peek_victim(self, set_state: SymbolicSetState):
-        """The (block, sym) entry the next allocation would displace."""
-        victim_line, _ = self.policy.table(set_state.assoc).after_miss(
-            set_state.policy_state, set_state.lines)
-        if set_state.lines[victim_line] is None:
-            return None
-        return (set_state.lines[victim_line],
-                set_state.syms[victim_line])
-
-    def access_capture(self, block: int, sym: SymBlock, is_write: bool):
-        """Like :meth:`access`, but also returns the evicted entry.
-
-        Returns ``(hit, victim)`` where ``victim`` is the displaced
-        ``(block, sym)`` pair, or None when nothing was evicted (hit,
-        non-allocating write miss, or an empty line filled).  Mirrors
-        :meth:`CacheHierarchy._lookup_and_update` on the symbolic side.
-        """
-        allocate = (not is_write
-                    or self.config.write_policy is WritePolicy.WRITE_ALLOCATE)
-        index = self.config.index_of(block)
-        self.mru_set = index
-        set_state = self.sets[index]
-        victim = None
-        if allocate and block not in set_state.lines:
-            victim = self._peek_victim(set_state)
-        hit = set_state.access(self.policy, block, sym, allocate)
-        if hit:
-            self.hits += 1
-            victim = None
-        else:
-            self.misses += 1
-        return hit, victim
-
-    def probe_extract(self, block: int) -> bool:
-        """Exclusive-hierarchy lookup: a hit removes the block.
-
-        Counts a hit or a miss; on a hit the line is cleared without
-        touching the policy state (mirroring the concrete hierarchy's
-        victim-cache semantics).
-        """
-        index = self.config.index_of(block)
-        self.mru_set = index
-        set_state = self.sets[index]
-        for line, content in enumerate(set_state.lines):
-            if content == block:
-                set_state.version += 1
-                set_state.lines[line] = None
-                set_state.syms[line] = None
-                self.hits += 1
-                return True
-        self.misses += 1
-        return False
-
-    def insert_victim(self, block: int, sym: SymBlock):
-        """Exclusive-hierarchy spill: allocate an evicted entry here.
-
-        Not a demand access: hit/miss counters stay untouched.  Returns
-        the displaced ``(block, sym)`` pair (to cascade into the next
-        level) or None.
-        """
-        index = self.config.index_of(block)
-        self.mru_set = index
-        set_state = self.sets[index]
-        victim = None
-        if block not in set_state.lines:
-            victim = self._peek_victim(set_state)
-        set_state.access(self.policy, block, sym, True)
-        return victim
-
-    def invalidate(self, block: int) -> None:
-        """Inclusive-hierarchy back-invalidation: drop a block if present.
-
-        Leaves the policy state untouched, mirroring the concrete
-        hierarchy's ``_invalidate``.
-        """
-        set_state = self.sets[self.config.index_of(block)]
-        for line, content in enumerate(set_state.lines):
-            if content == block:
-                set_state.version += 1
-                set_state.lines[line] = None
-                set_state.syms[line] = None
-                return
+        # No policy argument: each symbolic cache owns its policy, and
+        # so its transition tables.
+        super().__init__(config)
 
     # -- match detection ----------------------------------------------------------
 
@@ -338,13 +241,6 @@ class SymbolicCache:
         self.sets = new_sets  # type: ignore[assignment]
         self.mru_set = (self.mru_set + total_rot) % num_sets
 
-    def reset(self) -> None:
-        self.sets = [SymbolicSetState(self.config.assoc, self.policy)
-                     for _ in range(self.config.num_sets)]
-        self.mru_set = 0
-        self.hits = 0
-        self.misses = 0
-
     def concretize(self, depth: int,
                    at_point: Tuple[int, ...]) -> List[List[Optional[int]]]:
         """gamma: evaluate all symbols at a (possibly past) loop point.
@@ -390,108 +286,15 @@ def evaluate_symbol(sym: SymBlock, depth: int,
     return node.block_at(rebased, block_size)
 
 
-class SymbolicHierarchy:
+class SymbolicHierarchy(CacheHierarchy):
     """N symbolic caches under a configurable inclusion policy.
 
-    Mirrors :class:`repro.cache.hierarchy.CacheHierarchy` access for
+    :class:`~repro.cache.hierarchy.CacheHierarchy` performs every
     access: NINE descends on misses; INCLUSIVE back-invalidates the
     victims of outer-level evictions; EXCLUSIVE moves outer-level hits
-    into the L1 and cascades eviction victims outwards.  All three stay
-    data-independent and bijection-compatible (the paper's Sec. 2.3
-    remark), so all three remain warpable.
+    into the L1 and cascades eviction victims, with their symbols,
+    outwards.  All three stay data-independent and bijection-compatible
+    (the paper's Sec. 2.3 remark), so all three remain warpable.
     """
 
-    __slots__ = ("config", "inclusion", "_levels")
-
-    def __init__(self, config: HierarchyConfig,
-                 inclusion: Optional[InclusionPolicy] = None):
-        self.config = config
-        self.inclusion = (InclusionPolicy.parse(inclusion)
-                          if inclusion is not None
-                          else config.inclusion)
-        self._levels = tuple(SymbolicCache(cfg) for cfg in config.levels)
-
-    @property
-    def levels(self) -> Tuple[SymbolicCache, ...]:
-        return self._levels
-
-    @property
-    def l1(self) -> SymbolicCache:
-        return self._levels[0]
-
-    @property
-    def l2(self) -> SymbolicCache:
-        return self._levels[1]
-
-    def access(self, block: int, sym: SymBlock, is_write: bool) -> bool:
-        """Access a block; returns the L1 hit flag."""
-        if self.inclusion is InclusionPolicy.NINE:
-            return self._access_nine(block, sym, is_write)
-        if self.inclusion is InclusionPolicy.INCLUSIVE:
-            return self._access_inclusive(block, sym, is_write)
-        return self._access_exclusive(block, sym, is_write)
-
-    def _access_nine(self, block: int, sym: SymBlock,
-                     is_write: bool) -> bool:
-        hit1 = self._levels[0].access(block, sym, is_write)
-        hit = hit1
-        for level in self._levels[1:]:
-            if hit:
-                break
-            hit = level.access(block, sym, is_write)
-        return hit1
-
-    def _access_inclusive(self, block: int, sym: SymBlock,
-                          is_write: bool) -> bool:
-        # The L1's own victim is irrelevant (nothing is shallower), so
-        # only outer levels pay for victim capture.
-        hit1 = self._levels[0].access(block, sym, is_write)
-        if hit1:
-            return True
-        for index in range(1, len(self._levels)):
-            hit, victim = self._levels[index].access_capture(
-                block, sym, is_write)
-            if not hit and victim is not None:
-                for shallower in self._levels[:index]:
-                    shallower.invalidate(victim[0])
-            if hit:
-                break
-        return False
-
-    def _access_exclusive(self, block: int, sym: SymBlock,
-                          is_write: bool) -> bool:
-        hit1, victim = self._levels[0].access_capture(block, sym,
-                                                      is_write)
-        if hit1:
-            return True
-        for level in self._levels[1:]:
-            if level.probe_extract(block):
-                break
-        for level in self._levels[1:]:
-            if victim is None:
-                break
-            victim = level.insert_victim(victim[0], victim[1])
-        return False
-
-    def reset(self) -> None:
-        for level in self._levels:
-            level.reset()
-
-
-class SingleLevel:
-    """Adapter giving a single cache the same interface as a hierarchy."""
-
-    __slots__ = ("cache",)
-
-    def __init__(self, config: CacheConfig):
-        self.cache = SymbolicCache(config)
-
-    def access(self, block: int, sym: SymBlock, is_write: bool) -> bool:
-        return self.cache.access(block, sym, is_write)
-
-    @property
-    def levels(self) -> Tuple[SymbolicCache, ...]:
-        return (self.cache,)
-
-    def reset(self) -> None:
-        self.cache.reset()
+    cache_class = SymbolicCache

@@ -42,11 +42,7 @@ from repro.isl.sets import BasicSet
 from repro.polyhedral.model import AccessNode, LoopNode, Scop
 from repro.simulation.executor import LeafExecutor
 from repro.simulation.result import SimulationResult
-from repro.simulation.symbolic import (
-    SingleLevel,
-    SymbolicCache,
-    SymbolicHierarchy,
-)
+from repro.simulation.symbolic import SymbolicCache, SymbolicHierarchy
 
 TargetConfig = Union[CacheConfig, HierarchyConfig]
 
@@ -79,10 +75,9 @@ def simulate_warping(scop: Scop, config: TargetConfig,
     >>> warped.warp_count > 0
     True
     """
-    if isinstance(config, HierarchyConfig):
-        target = SymbolicHierarchy(config)
-    else:
-        target = SingleLevel(config)
+    target = (SymbolicHierarchy(config)
+              if isinstance(config, HierarchyConfig)
+              else SymbolicCache(config))
     span_name = "engine.warping" if enable_warping else "engine.symbolic"
     with obs.Stopwatch(span_name) as watch:
         runner = _WarpingRunner(scop, target, enable_warping)
@@ -96,7 +91,7 @@ def simulate_warping(scop: Scop, config: TargetConfig,
     result.warped_accesses = runner.warped_accesses
     result.warp_count = runner.warp_count
     result.warp_attempts = runner.warp_attempts
-    result.set_levels(target.levels)
+    result.set_levels(runner.levels)
     return result
 
 
@@ -117,13 +112,13 @@ class _WarpingRunner:
     max_matchless_executions = 3
 
     def __init__(self, scop: Scop,
-                 target: Union[SingleLevel, SymbolicHierarchy],
+                 target: Union[SymbolicCache, SymbolicHierarchy],
                  enable_warping: bool = True):
         self.scop = scop
-        self.levels: List[SymbolicCache] = list(target.levels)
-        self.block_size = self.levels[0].config.block_size
         #: Performs every explicit access (and counts them).
         self.executor = LeafExecutor(target)
+        self.levels: List[SymbolicCache] = list(self.executor.levels)
+        self.block_size = self.levels[0].config.block_size
         # Set sharding: when the target is built from sharded configs
         # (ShardedCacheConfig), the executor performs only the accesses
         # of the shard's residue class, and block shifts must

@@ -28,7 +28,7 @@ from repro.polyhedral import ScopBuilder
 from repro.polyhedral.model import LoopNode
 from repro.simulation import simulate_nonwarping, simulate_warping
 from repro.simulation.executor import LeafExecutor
-from repro.simulation.symbolic import SingleLevel, SymbolicHierarchy
+from repro.simulation.symbolic import SymbolicCache, SymbolicHierarchy
 
 L2 = CacheConfig(1024, 4, 16, "qlru", name="L2")
 
@@ -112,10 +112,10 @@ def test_run_equals_per_access_reference(kind, depth, accesses, lo, trips,
     else:
         def make():
             return (SymbolicHierarchy(config) if depth == 2
-                    else SingleLevel(config))
+                    else SymbolicCache(config))
 
         def reference_access(block, node, point):
-            reference.access(block, (node, point), node.is_write)
+            reference.access(block, node.is_write, (node, point))
 
     target, reference = make(), make()
     executor = LeafExecutor(target)
@@ -135,12 +135,12 @@ def test_run_resumes_mid_range():
                       0, 40, 1)
     loop = scop.roots[0]
     config = CacheConfig(256, 2, 16, "plru")
-    target, reference = SingleLevel(config), SingleLevel(config)
+    target, reference = SymbolicCache(config), SymbolicCache(config)
     executor = LeafExecutor(target)
     executor.run(loop, (), 0, 16)
     executor.run(loop, (), 17, 39)
     _reference(loop, (), 16, 1, 0, lambda block, node, point:
-               reference.access(block, (node, point), node.is_write))
+               reference.access(block, node.is_write, (node, point)))
     assert _state(target) == _state(reference)
 
 

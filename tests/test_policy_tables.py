@@ -73,8 +73,8 @@ def replay(policy_name, assoc, write_policy, trace):
             hit = reference.access(block, allocate)
             assert concrete.access(concrete_policy, block,
                                    allocate)[0] == hit
-            assert symbolic.access(symbolic_policy, block, ("sym", block),
-                                   allocate) == hit
+            assert symbolic.access(symbolic_policy, block, allocate,
+                                   ("sym", block))[0] == hit
         for set_state in (concrete, symbolic):
             assert set_state.lines == reference.lines
             assert set_state.policy_state == reference.policy_state
@@ -139,7 +139,7 @@ def test_every_cache_starts_with_empty_tables(cache_cls):
     first = cache_cls(config)
     for block in (0, 1, 2, 3, 0, 1, 4, 5):
         if cache_cls is SymbolicCache:
-            first.access(block, ("sym", block), False)
+            first.access(block, False, ("sym", block))
         else:
             first.access(block)
     table = first.policy.table(4)

@@ -7,7 +7,6 @@ from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.cache.hierarchy import CacheHierarchy
 from repro.polyhedral import ScopBuilder
 from repro.simulation.symbolic import (
-    SingleLevel,
     SymbolicCache,
     SymbolicHierarchy,
     evaluate_symbol,
@@ -30,7 +29,7 @@ def drive(scop, target, block_size):
     hits = []
     for i in range(lo, hi + 1):
         block = node.addr_at((i,)) // block_size
-        hits.append(target.access(block, (node, (i,)), node.is_write))
+        hits.append(target.access(block, node.is_write, (node, (i,))))
     return hits
 
 
@@ -38,7 +37,7 @@ def test_symbolic_matches_concrete_classification():
     """SymClCache == ClCache on the concretised state (Eq. 12)."""
     scop = make_scan_scop()
     cfg = CacheConfig(256, 2, 16, "lru")
-    symbolic = SingleLevel(cfg)
+    symbolic = SymbolicCache(cfg)
     hits_symbolic = drive(scop, symbolic, 16)
 
     concrete = Cache(cfg)
@@ -46,7 +45,7 @@ def test_symbolic_matches_concrete_classification():
     hits_concrete = [concrete.access(node.addr_at((i,)) // 16)
                      for i in range(64)]
     assert hits_symbolic == hits_concrete
-    assert symbolic.cache.misses == concrete.misses
+    assert symbolic.misses == concrete.misses
 
 
 def test_concretize_matches_blocks():
@@ -57,7 +56,7 @@ def test_concretize_matches_blocks():
     node = scop.roots[0].children[0]
     for i in range(10):
         block = node.addr_at((i,)) // 16
-        symbolic.access(block, (node, (i,)), False)
+        symbolic.access(block, False, (node, (i,)))
     contents = symbolic.concretize(1, (9,))
     for set_index, row in enumerate(contents):
         for line, value in enumerate(row):
@@ -97,7 +96,7 @@ def test_snapshot_keys_detect_periodicity():
             matches.append((keys[key], i))
         keys[key] = i
         block = node.addr_at((i,)) // 16
-        symbolic.access(block, (node, (i,)), False)
+        symbolic.access(block, False, (node, (i,)))
     assert matches, "periodic scan must produce symbolic matches"
     # After warm-up, matches recur with the full-cache period.
     deltas = {b - a for a, b in matches if a >= period}
@@ -115,7 +114,7 @@ def test_apply_rotation_equals_resimulation():
         target = SymbolicCache(cfg)
         for i in range(upto):
             block = node.addr_at((i,)) // 16
-            target.access(block, (node, (i,)), False)
+            target.access(block, False, (node, (i,)))
         return target
 
     period = 8  # 4 sets * 16B / 8B per element
@@ -136,7 +135,7 @@ def test_apply_rotation_rejects_unaligned_shift():
     cfg = CacheConfig(128, 2, 16, "lru")
     symbolic = SymbolicCache(cfg)
     node = scop.roots[0].children[0]
-    symbolic.access(0, (node, (0,)), False)
+    symbolic.access(0, False, (node, (0,)))
     with pytest.raises(ValueError):
         symbolic.apply_rotation(0, (1,), 1)  # 8-byte shift, 16B blocks
 
@@ -148,7 +147,7 @@ def test_hierarchy_cascades_misses_only():
     node = scop.roots[0].children[0]
     for i in range(16):
         block = node.addr_at((i,)) // 16
-        hier.access(block, (node, (i,)), False)
+        hier.access(block, False, (node, (i,)))
     # 8 blocks: L1 sees 16 accesses, L2 only the 8 misses.
     assert hier.l1.hits + hier.l1.misses == 16
     assert hier.l2.hits + hier.l2.misses == hier.l1.misses
@@ -157,10 +156,30 @@ def test_hierarchy_cascades_misses_only():
 
 def test_reset():
     cfg = CacheConfig(128, 2, 16, "lru")
-    symbolic = SingleLevel(cfg)
+    symbolic = SymbolicCache(cfg)
     scop = make_scan_scop(8)
     node = scop.roots[0].children[0]
-    symbolic.access(3, (node, (0,)), False)
+    symbolic.access(3, False, (node, (0,)))
     symbolic.reset()
-    assert symbolic.cache.misses == 0
-    assert all(b is None for s in symbolic.cache.sets for b in s.lines)
+    assert symbolic.misses == 0
+    assert all(b is None for s in symbolic.sets for b in s.lines)
+
+
+def test_clone_keeps_the_symbolic_types():
+    cfg = HierarchyConfig(CacheConfig(64, 2, 16), CacheConfig(128, 2, 16))
+    hier = SymbolicHierarchy(cfg)
+    hier.access(3, False, "a")                  # L1 set 1 of 2
+    syms = list(hier.l1.sets[1].syms)
+    assert "a" in syms
+    copy = hier.clone()
+    assert type(copy) is SymbolicHierarchy
+    assert all(type(level) is SymbolicCache for level in copy.levels)
+    assert copy.l1.sets[1].syms == syms
+    copy.access(5, False, "b")
+    assert hier.l1.sets[1].syms == syms         # the copy is deep
+    shifted = hier.apply_bijection(lambda block: block + 1)
+    assert type(shifted) is SymbolicHierarchy
+    assert type(shifted.l1) is SymbolicCache
+    assert 4 in shifted.l1.sets[0].lines        # set 1 moved to set 0
+    assert shifted.l1.sets[0].syms == syms      # symbols ride along
+    assert shifted.l1.mru_set == 0

@@ -39,7 +39,7 @@ def test_symbolic_equals_concrete(policy, write_policy, trace):
         # node with the iteration that produces this block (2 doubles
         # per 16-byte block -> i = 2*block).
         sym = (NODE, (2 * block,))
-        hit_symbolic = symbolic.access(block, sym, is_write)
+        hit_symbolic = symbolic.access(block, is_write, sym)
         assert hit_concrete == hit_symbolic
     assert concrete.misses == symbolic.misses
     assert concrete.hits == symbolic.hits
@@ -60,7 +60,7 @@ def test_snapshot_key_is_stable_under_repetition(trace, depth_point):
     def run(base_iteration):
         cache = SymbolicCache(cfg)
         for offset, block in enumerate(trace):
-            cache.access(block, (NODE, (base_iteration + offset,)), False)
+            cache.access(block, False, (NODE, (base_iteration + offset,)))
         return cache.snapshot_key(1, (base_iteration + len(trace),))
 
     assert run(0) == run(depth_point)

@@ -16,13 +16,13 @@ from repro.isl.affine import LinExpr
 from repro.isl.sets import BasicSet
 from repro.polyhedral import ScopBuilder
 from repro.simulation import simulate_nonwarping, simulate_warping
-from repro.simulation.symbolic import SingleLevel
+from repro.simulation.symbolic import SymbolicCache
 from repro.simulation.warping import _WarpingRunner
 
 
 def runner_for(scop, cfg=None):
     cfg = cfg or CacheConfig(64, 2, 8, "lru")
-    return _WarpingRunner(scop, SingleLevel(cfg))
+    return _WarpingRunner(scop, SymbolicCache(cfg))
 
 
 def ilp_domain_conflict(loop, node, prefix, i0: int, i1: int, last: int,
