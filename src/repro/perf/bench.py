@@ -112,7 +112,7 @@ def _lp_scenario(repeat: int) -> Dict[str, object]:
     from repro.polybench import build_kernel
     from repro.simulation import simulate_warping
 
-    kernel = "gemm"
+    kernel = "lu"  # asks ILP questions at SCALED_L
     size = SCALED_L[kernel]
     config = scaled_l1()
     with obs.collect() as cold:

@@ -10,14 +10,11 @@ place that performs them:
   child's byte address is affine in the iterator, ``base + value *
   coeff`` with ``base`` fixed by the outer iterators, so it is computed
   from the iterator instead of re-evaluated, and unguarded children skip
-  the domain check.
+  the domain check.  Under warping's match detection an innermost loop
+  drains in pieces, from one state key to the next.
 * :meth:`LeafExecutor.run_point` performs a run of access nodes at one
   iteration point: accesses that sit beside loops in a body.  It is the
   same drain, run for one iteration.
-* :meth:`LeafExecutor.run_once` runs one iteration of an innermost loop
-  under warping's match detection, from the loop's
-  :meth:`~LeafExecutor.entries`, which one execution of the loop computes
-  once.
 
 The drain filters the access stream down to the blocks a set shard owns
 (see :class:`~repro.cache.config.ShardedCacheConfig`), dropping up front
@@ -152,7 +149,7 @@ class LeafExecutor:
                   point: Tuple[int, ...]) -> None:
         """Perform the accesses of ``nodes`` at iteration ``point``."""
         start = perf_counter() if self._tracer is not None else 0.0
-        self._drain(start, nodes, None, point, 0, 0, 1, None)
+        self._drain(start, nodes, point, 0, 0, 1, None)
 
     def run(self, loop: LoopNode, prefix: Tuple[int, ...], value: int,
             hi: int) -> None:
@@ -160,41 +157,27 @@ class LeafExecutor:
         values ``value, value + stride, ...`` up to ``hi``, under the
         outer iterators ``prefix``."""
         start = perf_counter() if self._tracer is not None else 0.0
-        self._drain(start, self.body(loop)[0][0], None, prefix + (value,),
+        self._drain(start, self.body(loop)[0][0], prefix + (value,),
                     value, hi, loop.stride,
                     None if loop._bounds_exact else loop.in_domain)
 
-    def entries(self, loop: LoopNode, prefix: Tuple[int, ...]) -> list:
-        """The accesses of innermost ``loop`` under the outer iterators
-        ``prefix``, for :meth:`run_once`; one list serves every iteration
-        of the loop's execution."""
-        return _entries(self.body(loop)[0][0], prefix)
-
-    def run_once(self, entries: list, point: Tuple[int, ...]) -> None:
-        """Perform one iteration, at ``point``, of the innermost loop whose
-        :meth:`entries` are ``entries``."""
-        start = perf_counter() if self._tracer is not None else 0.0
-        value = point[-1]
-        self._drain(start, None, entries, point, value, value, 1, None)
-
     def _drain(self, start: float, nodes: Sequence[AccessNode],
-               infos: list, point: Tuple[int, ...], value: int, hi: int,
-               stride: int, in_domain) -> None:
-        """Perform the accesses of ``nodes`` (or the entries ``infos``,
-        see :func:`_entries`) at ``point``, whose last coordinate is the
-        iterator ``value``, then at each point that advances it by
-        ``stride`` up to ``hi``; points that fail ``in_domain`` (None: no
-        check) are skipped.  :meth:`run_point` passes ``value == hi``, one
-        iteration whose iterator value is never read.  Under a tracer the
-        call's window began at ``start``."""
+               point: Tuple[int, ...], value: int, hi: int, stride: int,
+               in_domain) -> None:
+        """Perform the accesses of ``nodes`` at ``point``, whose last
+        coordinate is the iterator ``value``, then at each point that
+        advances it by ``stride`` up to ``hi``; points that fail
+        ``in_domain`` (None: no check) are skipped.  :meth:`run_point`
+        passes ``value == hi``, one iteration whose iterator value is
+        never read.  Under a tracer the call's window began at
+        ``start``."""
         tracer = self._tracer
         own = len(point) - 1
         prefix = point[:own]
-        if infos is None:
-            # One iteration needs no address steps: address it at point.
-            infos = (_entries(nodes, prefix) if value < hi else
-                     [(node, node.addr_at(point), 0, node.domain is not None,
-                       node.is_write) for node in nodes])
+        # One iteration needs no address steps: address it at point.
+        infos = (_entries(nodes, prefix) if value < hi else
+                 [(node, node.addr_at(point), 0, node.domain is not None,
+                   node.is_write) for node in nodes])
         block_size = self.block_size
         modulus = self.modulus
         residue = self.residue

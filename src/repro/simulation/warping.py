@@ -1,13 +1,13 @@
 """Warping symbolic cache simulation (paper Section 5, Algorithm 2).
 
 The simulator walks the SCoP tree like Algorithm 1, but operates on
-symbolic cache states and, at every loop iteration, checks whether the
-current symbolic state matches a previously recorded one (up to a
-rotation of the cache sets).  On a match it applies the polyhedral
-applicability analysis of ``IterationsToWarp`` and, if successful,
-fast-forwards the simulation across ``n`` match periods: iterators,
-symbolic state, and hit/miss counters are all advanced analytically
-(Theorem 4).
+symbolic cache states and, at the loop iterations a warp can start or
+end at, checks whether the current symbolic state matches a previously
+recorded one (up to a rotation of the cache sets).  On a match it
+applies the polyhedral applicability analysis of ``IterationsToWarp``
+and, if successful, fast-forwards the simulation across ``n`` match
+periods: iterators, symbolic state, and hit/miss counters are all
+advanced analytically (Theorem 4).
 
 Design notes relative to the paper:
 
@@ -18,21 +18,27 @@ Design notes relative to the paper:
 * Access functions are affine, hence the byte-address shift of an access
   node under an iterator delta is a *constant*; warping is attempted only
   when every relevant shift is a multiple of the block size, which makes
-  the induced block bijection a per-node constant block shift.  States
-  do match at misaligned deltas (every attempt on gemm, atax and trisolv
-  fails this check), so each rejection is counted by reason:
-  ``warp.reject.align``, ``.rotation``, ``.entry_shift``, ``.domains``,
-  ``.overlap``, ``.short_tail`` or ``.cache_agrees``.
+  the induced block bijection a per-node constant block shift.  The
+  loop's unguarded access children alone fix a period that every such
+  delta is a multiple of (``_LoopPlan.period``), so keys are taken only
+  every period, up to the last iteration a warp can still follow, and
+  executions shorter than two periods skip match detection
+  (``warp.skipped_executions``).  Each rejected attempt is counted by
+  reason: ``warp.reject.short_tail``, ``.align``, ``.rotation``,
+  ``.entry_shift``, ``.domains``, ``.overlap`` or ``.cache_agrees``.
 * ``FurthestByOverlap``/``FurthestByDomains`` reduce to exact ILP queries
   on Presburger sets built with :mod:`repro.isl`.
 * Every explicit access is performed by the innermost-loop executor the
   engines share (:mod:`repro.simulation.executor`): innermost loops
-  without match detection drain through it in one call, loop bodies
-  under match detection run one iteration point at a time.
+  without match detection drain through it in one call, under match
+  detection in one call per key, and other loop bodies run one
+  iteration point at a time.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
@@ -107,8 +113,10 @@ class _WarpingRunner:
     #: pattern never recurs (no symbolically equivalent states, cf. the
     #: paper's Sec. 6.2 discussion) pay the hashing overhead on every
     #: iteration otherwise; their sibling executions behave alike, so a
-    #: few matchless executions are a reliable predictor.  Sound: skipping
-    #: match detection never changes simulation results, only speed.
+    #: few matchless executions are a reliable predictor.  Executions too
+    #: short to warp (see ``_LoopPlan.period``) skip match detection and
+    #: do not count.  Sound: skipping match detection never changes
+    #: simulation results, only speed.
     max_matchless_executions = 3
 
     def __init__(self, scop: Scop,
@@ -182,19 +190,30 @@ class _WarpingRunner:
         lo, hi = bounds
         executor = self.executor
         body, leaf = executor.body(loop)
+        stride = loop.stride
         matchless = self._matchless_runs.get(id(loop), 0)
         matching = (self.enable_warping and loop._bounds_exact
                     and matchless < self.max_matchless_executions)
+        if matching:
+            # Every delta a warp admits is a multiple of the loop's
+            # period, and a warp from i0 >= lo at i1 = i0 + delta needs
+            # i1 + delta <= hi + stride.  So keys are taken only at the
+            # iterations a whole number of periods after lo, up to
+            # last_key, and an execution with no two such keys cannot
+            # warp at all.
+            period = self._plan(loop).period
+            last_key = hi + stride - period
+            if last_key - lo < period:
+                # Skipped, not matchless: the cut-off below ignores it.
+                obs.count("warp.skipped_executions")
+                matching = False
         if leaf and not matching:
             # Innermost loop without match detection: straight-line
             # access work, drained in one executor call.
             executor.run(loop, prefix, lo, hi)
             return
-        stride = loop.stride
+        detecting = matching
         depth = loop.depth
-        # An innermost loop under match detection runs one iteration at
-        # a time, all from one list of entries.
-        entries = executor.entries(loop, prefix) if leaf else None
         levels = self.levels
         single = levels[0] if len(levels) == 1 else None
         check_domain = not loop._bounds_exact
@@ -205,9 +224,11 @@ class _WarpingRunner:
         fail_streak = 0
         value = lo
         while value <= hi:
+            if matching and value > last_key:
+                matching = False  # no warp can start or end from here on
             if leaf and not matching:
-                # The fail streak switched match detection off: drain
-                # the rest of this execution.
+                # Match detection is over for this execution (the last
+                # key or the fail streak): drain the rest.
                 executor.run(loop, prefix, value, hi)
                 break
             point = prefix + (value,)
@@ -215,7 +236,7 @@ class _WarpingRunner:
                 value += stride
                 continue
             warped = False
-            if matching:
+            if matching and (value - lo) % period == 0:
                 # The whole match-detection block (state keys, history
                 # lookup/update) is one warp.bookkeeping span when
                 # profiling; warp.analysis nests inside it.
@@ -263,16 +284,18 @@ class _WarpingRunner:
                         history[key] = now
             if not warped:
                 if leaf:
-                    executor.run_once(entries, point)
-                else:
-                    for child in body:
-                        if child.__class__ is tuple:
-                            executor.run_point(child, point)
-                        else:
-                            self.run_loop(child, point)
+                    # An innermost loop drains up to its next key (it
+                    # stays inside the loop: value <= last_key).
+                    executor.run(loop, prefix, value, value + period - stride)
+                    value += period
+                    continue
+                for child in body:
+                    if child.__class__ is tuple:
+                        executor.run_point(child, point)
+                    else:
+                        self.run_loop(child, point)
                 value += stride
-        if self.enable_warping and loop._bounds_exact and (
-                matching or had_match):
+        if detecting:
             self._matchless_runs[id(loop)] = (
                 0 if had_match else matchless + 1)
 
@@ -291,6 +314,11 @@ class _WarpingRunner:
         the shift-derived rotation is sound even when the state is
         rotation-symmetric.
         """
+        # Checked first, as it needs nothing but the loop's end: no
+        # whole match period is left to warp over.
+        if (last + loop.stride - i1) // delta <= 0:
+            obs.count("warp.reject.short_tail")
+            return False
         plan = self._plan(loop)
         nodes = plan.nodes
         own_index = loop.depth - 1
@@ -408,6 +436,10 @@ class _WarpingRunner:
         key = ("empty", id(node), i0, last)
         if key in analysis_cache:
             return analysis_cache[key]
+        hull = self._touched_hull_fast(node, loop, prefix, i0, last)
+        if hull is not NotImplemented:
+            analysis_cache[key] = hull is None
+            return hull is None
         domain = node.full_domain
         if domain is None:
             analysis_cache[key] = False
@@ -573,8 +605,18 @@ class _WarpingRunner:
                 if conflict is not None and conflict >= i0:
                     bound = min(bound, conflict)
                     continue
-            conflict = self._overlap_conflict(
-                loop, prefix, node_a, node_b, i0, last)
+            hull_a = self._touched_hull_fast(node_a, loop, prefix, i0, last)
+            hull_b = self._touched_hull_fast(node_b, loop, prefix, i0, last)
+            if (hull_a is not NotImplemented
+                    and hull_b is not NotImplemented
+                    and (hull_a is None or hull_b is None
+                         or hull_a[1] < hull_b[0] or hull_b[1] < hull_a[0])):
+                # A node without accesses in the region, or disjoint
+                # block hulls: no block is shared, no ILP needed.
+                conflict = None
+            else:
+                conflict = self._overlap_conflict(
+                    loop, prefix, node_a, node_b, i0, last)
             analysis_cache[key] = (i0, conflict)
             if conflict is not None:
                 bound = min(bound, conflict)
@@ -805,9 +847,17 @@ class _LoopPlan:
     a warp short (FurthestByDomains: every shape but "free"), and
     ``pairs`` the node pairs that shift differently and may share blocks
     (FurthestByOverlap), both in program order.
+
+    ``period`` divides every delta that passes checks (a) and (b) of
+    :meth:`_WarpingRunner._try_warp`: the lcm of the loop's stride and,
+    over the unguarded access children (they run at every iteration),
+    of ``unit / gcd(c, unit)`` per child and ``unit * S / gcd(c_a - c_b,
+    unit * S)`` per pair, where ``c`` is a child's byte coefficient on the
+    loop's iterator, ``unit`` the block size times the shard modulus and
+    ``S`` the lcm of the levels' set counts.
     """
 
-    __slots__ = ("nodes", "coeffs", "guarded", "pairs")
+    __slots__ = ("nodes", "coeffs", "guarded", "pairs", "period")
 
     def __init__(self, runner: _WarpingRunner, loop: LoopNode):
         own_index = loop.depth - 1
@@ -830,6 +880,18 @@ class _LoopPlan:
                     continue  # distinct arrays, disjoint block ranges
                 pairs.append((node_a, node_b))
         self.pairs = tuple(pairs)
+        unit = runner._shift_unit
+        span = unit * lcm(*(level.config.num_sets
+                            for level in runner.levels))
+        steady = {child.coeff_vector()[own_index]
+                  for child in loop.children
+                  if isinstance(child, AccessNode) and child.domain is None}
+        period = loop.stride
+        for coeff in steady:  # (a): an aligned byte shift
+            period = lcm(period, unit // gcd(coeff, unit))
+        for coeff_a, coeff_b in combinations(steady, 2):  # (b): one rotation
+            period = lcm(period, span // gcd(coeff_a - coeff_b, span))
+        self.period = period
 
 
 def _terms(expr: LinExpr, position: Dict[str, int]) -> tuple:

@@ -341,14 +341,15 @@ class TestWarmStart:
 
 
 class TestCertifiedSimulation:
-    @pytest.mark.parametrize("kernel", ["gemm", "atax", "trisolv"])
+    @pytest.mark.parametrize("kernel", ["lu", "nussinov",
+                                        "floyd-warshall"])
     def test_full_run_verifies_every_certificate(self, kernel):
         from repro.cache.config import CacheConfig
         from repro.polybench import build_kernel
         from repro.simulation import simulate_warping
 
         scop = build_kernel(kernel, "MINI")
-        config = CacheConfig(2048, 4, 32, "plru")
+        config = CacheConfig(1024, 4, 32, "plru")
         with obs.collect() as tracer, ilp.verification():
             simulate_warping(scop, config)  # CertificateError on any bug
         assert tracer.counters["ilp.cert_checks"] > 0

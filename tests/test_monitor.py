@@ -29,8 +29,8 @@ from repro.obs.export import to_prometheus, validate_prometheus
 from repro.obs.tracer import Tracer
 
 
-def _spec(l1_sizes=(512, 1024)):
-    return SweepSpec(kernels=["mvt"], sizes=["MINI"],
+def _spec(l1_sizes=(512, 1024), kernel="mvt"):
+    return SweepSpec(kernels=[kernel], sizes=["MINI"],
                      l1_sizes=list(l1_sizes), l1_assocs=[4],
                      l1_policies=["lru"], block_sizes=[32])
 
@@ -314,7 +314,9 @@ def test_inline_sweep_heartbeat_reports_decision_hit_rate(tmp_path):
     path = str(tmp_path / "rate.jsonl")
     clear_decision_cache()
     with open_store(path) as store:
-        run_sweep(_spec((256, 512, 1024)), store=store, heartbeat=5.0)
+        # nussinov still asks ILP questions at MINI (mvt asks none).
+        run_sweep(_spec((256, 512, 1024), kernel="nussinov"), store=store,
+                  heartbeat=5.0)
     with open_store(path) as store:
         (beat,) = read_heartbeats(store)
         counters = [record["result"]["counters"]
@@ -458,7 +460,7 @@ def test_monitor_and_frontier_load_stores_with_warp_memo_fields(
     path = str(tmp_path / "old.jsonl")
     prom_path = str(tmp_path / "old.prom")
     with open_store(path) as store:
-        run_sweep(_spec(), store=store, heartbeat=5.0)
+        run_sweep(_spec(kernel="nussinov"), store=store, heartbeat=5.0)
     with open_store(path) as store:
         for record in store.ok_records():
             record["result"]["memo"] = {

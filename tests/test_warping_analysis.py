@@ -2,21 +2,28 @@
 
 Checks the static fast paths of FurthestByDomains against the exact
 Presburger reference (:func:`ilp_domain_conflict`, the paper's conflict
-set, kept here as a test oracle), and the overlap and cache-agreement
-machinery on targeted scenarios.
+set, kept here as a test oracle), the overlap and cache-agreement
+machinery on targeted scenarios, and the period rule that limits match
+detection to the iterations a warp can start or end at.
 """
 
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cache.config import CacheConfig
+from repro import obs
+from repro.cache.config import (CacheConfig, HierarchyConfig,
+                                 shard_target_config)
 from repro.cache.cache import Cache
+from repro.cache.hierarchy import CacheHierarchy
 from repro.isl.affine import LinExpr
 from repro.isl.sets import BasicSet
+from repro.perf.workloads import scaled_hierarchy, scaled_l1
+from repro.polybench import build_kernel
 from repro.polyhedral import ScopBuilder
 from repro.simulation import simulate_nonwarping, simulate_warping
-from repro.simulation.symbolic import SymbolicCache
+from repro.simulation.symbolic import SymbolicCache, SymbolicHierarchy
 from repro.simulation.warping import _WarpingRunner
 
 
@@ -270,3 +277,124 @@ def test_matchless_heuristic_disables_and_is_sound():
     ref = simulate_nonwarping(scop, Cache(cfg))
     war = simulate_warping(scop, cfg)
     assert ref.l1_misses == war.l1_misses
+
+
+# -- the period rule ---------------------------------------------------------------------------
+
+
+def _period(scop, loop, config):
+    target = (SymbolicHierarchy(config) if isinstance(config, HierarchyConfig)
+              else SymbolicCache(config))
+    return _WarpingRunner(scop, target)._plan(loop).period
+
+
+@pytest.mark.parametrize("config,first_j,inner_j", [
+    # 32 B blocks, 8 sets: C[i][j] and B[k][j] move 8 B per j, A[i][k]
+    # stays put, so (a) needs 32 / 8 = 4 and (b) 32 * 8 / 8 = 32.
+    (scaled_l1(), 4, 32),
+    # S = lcm(8, 32) = 32 under the QLRU-16 L2: (b) needs 32 * 32 / 8.
+    (scaled_hierarchy(2), 4, 128),
+    # Two shards: unit 64, 4 sets per shard: 64 / 8 and 64 * 4 / 8.
+    (shard_target_config(scaled_l1(), 2, 0), 8, 32),
+])
+def test_gemm_loop_periods(config, first_j, inner_j):
+    scop = build_kernel("gemm", "MINI")
+    loop_i = scop.roots[0]
+    loop_j, loop_k = loop_i.children
+    assert _period(scop, loop_j, config) == first_j
+    assert _period(scop, loop_k.children[0], config) == inner_j
+    # No access child: only the stride constrains the delta.
+    assert _period(scop, loop_i, config) == 1
+    assert _period(scop, loop_k, config) == 1
+
+
+@pytest.mark.parametrize("stride,period", [(1, 4), (2, 4), (3, 12)])
+def test_period_of_strided_loop_ignores_guarded_children(stride, period):
+    b = ScopBuilder("strided")
+    A = b.array("A", (256,))
+    B = b.array("B", (4,))
+    with b.loop("i", 0, 200, stride=stride):
+        b.read(A, b.i)
+        # Guarded: it need not run at every iteration, so its zero
+        # coefficient must not add the pair term 32 * 8 / 8 = 32.
+        b.read(B, 0, guard=[b.i - 100])
+    scop = b.build()
+    assert _period(scop, scop.roots[0], scaled_l1()) == period
+
+
+def test_skipped_executions_do_not_switch_the_loop_off():
+    """The j loop runs three 4-iteration executions (shorter than two
+    periods of 4) before three long ones.  Counted as matchless, they
+    would end its match detection before the long executions warp."""
+    b = ScopBuilder("short-then-long")
+    A = b.array("A", (16384,))
+    with b.loop("i", 0, 2):
+        with b.loop("k", 0, 3):
+            with b.loop("j", 0, 2000 * b.i + 4):
+                b.read(A, 2047 * b.k + b.j)
+    scop = b.build()
+    config = CacheConfig(512, 2, 32, "lru")
+    with obs.collect() as tracer:
+        warped = simulate_warping(scop, config)
+    reference = simulate_nonwarping(scop, Cache(config))
+    assert tracer.counters["warp.skipped_executions"] == 3
+    # Keys every period up to the last one a warp can follow (420 keys
+    # with a key at every iteration).
+    assert tracer.counters["sym.snapshot_keys"] == 122
+    assert (warped.warp_count, warped.warped_accesses,
+            warped.accesses) == (3, 5568, 6024)
+    assert warped.l1_misses == reference.l1_misses
+
+
+@st.composite
+def short_and_long_nests(draw):
+    """1-2-deep nests with strides 1-3 whose inner trip count grows with
+    the outer iterator, so some executions are shorter than two periods
+    and some are long enough to warp, and 1-3 accesses at odd element
+    offsets (block-misaligned)."""
+    b = ScopBuilder("nest")
+    arrays = [b.array("A", (2048,)), b.array("B", (2048,))]
+    depth = draw(st.integers(1, 2))
+    trips = draw(st.sampled_from([1, 4, 9, 40, 120, 200]))
+    growth = draw(st.sampled_from([0, 3, 40, 90])) if depth == 2 else 0
+    accesses = draw(st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(0, 3),
+                  st.integers(0, 15), st.booleans()),
+        min_size=1, max_size=3))
+
+    def body(outer):
+        for array, coeff_j, coeff_i, offset, write in accesses:
+            index = coeff_j * b.j + 2 * offset + 1
+            if outer is not None:
+                index = index + coeff_i * outer
+            b.access(arrays[array], index, is_write=write)
+
+    stride = draw(st.integers(1, 3))
+    if depth == 1:
+        with b.loop("j", 0, trips, stride=stride):
+            body(None)
+    else:
+        with b.loop("i", 0, draw(st.integers(2, 4)),
+                    stride=draw(st.integers(1, 3))):
+            with b.loop("j", 0, trips + growth * b.i, stride=stride):
+                body(b.i)
+    return b.build()
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(scop=short_and_long_nests(),
+       policy=st.sampled_from(["lru", "plru", "fifo", "qlru"]),
+       hierarchy=st.booleans())
+def test_period_rule_keeps_every_level_exact(scop, policy, hierarchy):
+    """Warping equals the tree engine, per level, on nests the period
+    rule skips, cuts short and hashes sparsely."""
+    l1 = CacheConfig(256, 2, 32, policy)
+    if hierarchy:
+        config = HierarchyConfig(levels=(l1, CacheConfig(1024, 4, 32, "lru")))
+        reference = simulate_nonwarping(scop, CacheHierarchy(config))
+    else:
+        config = l1
+        reference = simulate_nonwarping(scop, Cache(config))
+    warped = simulate_warping(scop, config)
+    assert [(s.hits, s.misses) for s in warped.levels] == \
+        [(s.hits, s.misses) for s in reference.levels]
