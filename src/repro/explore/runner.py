@@ -285,6 +285,11 @@ def _run_point_guarded(point: SweepPoint,
     # the moment of death — exactly the forensics a failure record
     # wants ("where had the time gone when this point died?").
     tracer = Tracer()
+    # Import the kernel modules before the deadline is armed: a point's
+    # deadline covers its own build and simulation, not the one-off
+    # registry load of a fresh worker process.
+    from repro.polybench import all_kernel_names
+    all_kernel_names()
     start = time.perf_counter()
     try:
         # Armed inside the try so an alarm that fires immediately (tiny

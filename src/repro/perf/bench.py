@@ -35,6 +35,7 @@ import json
 import multiprocessing
 import platform
 import time
+from statistics import median
 from typing import Dict, List, Optional
 
 from repro import obs
@@ -51,6 +52,10 @@ BENCH_KERNELS = ["jacobi-2d", "seidel-2d", "heat-3d",
 
 #: CI smoke subset.
 QUICK_KERNELS = ["jacobi-2d", "atax"]
+
+#: Least number of rounds behind a sharded scenario's critical path,
+#: whatever ``repeat`` is (see :func:`_critical_path`).
+CRITICAL_PATH_ROUNDS = 9
 
 
 def _timed(fn, repeat: int, setup=None):
@@ -76,6 +81,53 @@ def _timed(fn, repeat: int, setup=None):
         if enabled:
             gc.enable()
     return result, best
+
+
+def _critical_path(scop, config, shards: int, rounds: int):
+    """CPU seconds of the sequential tree run and of each of its
+    ``shards`` set shards, measured over ``rounds`` paired rounds.
+
+    Every round runs the sequential engine and each shard in this
+    process, one after another, the sequential run first in even rounds
+    and last in odd ones.  A shard's cost is its median fraction of the
+    sequential run of the same round, times the median sequential time.
+    A pool worker lands on whichever CPU is free: on a 2-vCPU VM the
+    same sequential run took 44 ms of CPU on one vCPU and 82 ms on the
+    other, so a worker's CPU time says as much about its vCPU as about
+    its shard.  Within one round both sides of the ratio run on one CPU
+    at about the same time, and the median over rounds keeps a scenario
+    of a few milliseconds from being decided by one sample.
+    """
+    from repro.simulation import simulate_nonwarping
+
+    def sequential():
+        start = time.process_time()
+        simulate_nonwarping(scop, Cache(config))
+        return time.process_time() - start
+
+    def sharded():
+        return shard_simulate(scop, config, engine="tree", shards=shards,
+                              workers=1).extra["shard_cpu_s"]
+
+    seq_times = []
+    fractions = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for index in range(max(1, rounds)):
+            if index % 2:
+                shard_cpu = sharded()
+                seq_cpu = sequential()
+            else:
+                seq_cpu = sequential()
+                shard_cpu = sharded()
+            seq_times.append(seq_cpu)
+            fractions.append([cpu / max(seq_cpu, 1e-9) for cpu in shard_cpu])
+    finally:
+        if enabled:
+            gc.enable()
+    seq_cpu = median(seq_times)
+    return seq_cpu, [seq_cpu * median(shard) for shard in zip(*fractions)]
 
 
 def _geomean(values: List[float]) -> float:
@@ -182,15 +234,23 @@ def run_bench(workers: int = 4, shards: Optional[int] = None,
             raise AssertionError(
                 f"bench: sharded run diverged from sequential on "
                 f"{kernel} — refusing to record")
-        # A degenerate plan (1 shard: --workers 1, or a single-set
-        # cache) falls back to the sequential engine, whose extra
-        # carries no per-shard data — record it as its own critical
-        # path so the scenario stays schema-complete.
+        # The pool run above gives the wall time; the critical path is
+        # timed in this process (see _critical_path).  A degenerate
+        # plan (1 shard: --workers 1, or a single-set cache) falls back
+        # to the sequential engine, whose extra carries no per-shard
+        # data — record it as its own critical path so the scenario
+        # stays schema-complete.
         shards_run = sharded.extra.get("shards", 1)
-        critical = sharded.extra.get("critical_path_s", par_s)
-        shard_cpu = sharded.extra.get("shard_cpu_s",
-                                      [round(par_s, 6)] * shards_run)
-        speedup = seq_s / max(critical, 1e-9)
+        if shards_run > 1:
+            seq_cpu, shard_cpu = _critical_path(
+                scop, config, shards,
+                max(repeat, CRITICAL_PATH_ROUNDS))
+            shard_cpu = [round(value, 6) for value in shard_cpu]
+            critical = max(shard_cpu)
+        else:
+            seq_cpu, critical = seq_s, par_s
+            shard_cpu = [round(par_s, 6)]
+        speedup = seq_cpu / max(critical, 1e-9)
         tree_speedups.append(speedup)
         scenarios.append({
             "kernel": kernel, "size": size, "engine": "tree",
@@ -203,6 +263,7 @@ def run_bench(workers: int = 4, shards: Optional[int] = None,
             "shards": shards_run,
             "workers": sharded.extra.get("workers", 1),
             "shard_cpu_s": shard_cpu,
+            "sequential_cpu_s": round(seq_cpu, 6),
             "critical_path_s": critical,
             "speedup_vs_sequential": round(speedup, 3),
             "wall_speedup": round(seq_s / max(par_s, 1e-9), 3),

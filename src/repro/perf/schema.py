@@ -9,12 +9,20 @@ committed file, and by CI over a fresh ``--quick`` run.
 
 Speedup semantics (recorded per sharded scenario):
 
-* ``speedup_vs_sequential`` — sequential wall time divided by the
-  *critical path* of the sharded run (the maximum per-shard worker CPU
+* ``speedup_vs_sequential`` — sequential time divided by the
+  *critical path* of the sharded run (the maximum per-shard CPU
   time).  This is the machine-independent figure of merit: on a host
-  with at least as many cores as workers it coincides with the
+  with at least as many like cores as workers it coincides with the
   end-to-end speedup; on fewer cores the workers time-share and only
-  the critical path reflects the engine's parallelism.
+  the critical path reflects the engine's parallelism.  In payloads
+  that carry ``sequential_cpu_s`` both sides are CPU times measured in
+  the bench process over several rounds that each run the sequential
+  engine and every shard (``sequential_cpu_s`` is the median
+  sequential time, each ``shard_cpu_s`` entry that times the shard's
+  median fraction of the sequential run of its round), so that a
+  slower vCPU under one pool worker cannot pass for a slower shard;
+  older files divide the sequential wall time by pool workers' CPU
+  times.
 * ``wall_speedup`` — sequential wall time divided by the end-to-end
   wall time of the sharded run on the measuring machine (pool spawn
   and time-sharing included).  ``machine.cpu_count`` says how much

@@ -34,9 +34,15 @@ A symbolic cache (:class:`~repro.simulation.symbolic.SymbolicCache`) is
 a concrete :class:`~repro.cache.cache.Cache` whose sets also keep each
 way's symbol, so both share the set layout the inlined update relies
 on: ``lines`` (the block in each way) and ``policy_state``.  On a
-symbolic cache the update also stores the access's symbol
-``(node, point)`` in the way and bumps the set's version; on either kind
-it records the most recently used set.
+symbolic cache the update also stores the access's symbol in the way
+without allocating: the drain entry, whose first field is the access
+node, goes into the set's ``syms`` list and the iteration's point
+tuple, built once per iteration and shared by its accesses, into the
+parallel ``points`` list, and the set is marked ``stale`` for its cached
+snapshot-key parts.  Outer levels and targets that are not inlined
+receive a ``(node, point)`` pair, built only on an L1 miss or a
+non-inlined access.  On either kind the update records the most
+recently used set.
 
 Profiling costs O(loop executions), not O(accesses): under an active
 tracer every call is timed as one window, ``sym.access`` on symbolic
@@ -46,8 +52,10 @@ otherwise the same.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from repro import obs
 from repro.cache.cache import Cache
@@ -64,6 +72,30 @@ from repro.simulation.symbolic import SymbolicCache
 #: A loop body: the loop's children in program order, with every run of
 #: consecutive access nodes grouped into one tuple.
 Body = Tuple[object, ...]
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector for one simulation run.
+
+    A run allocates a tuple per iteration point, drain and state key.
+    Every 700 such allocations start a collection, and about every
+    hundredth of those scans the whole process heap, whose size is the
+    caller's (a test session or a sweep), not the run's.  The engines
+    make next to no reference cycles (about 20 unreachable objects per
+    run over the 30 PolyBench kernels at MINI), so these scans find
+    nothing, yet in a pytest session on a 2-vCPU VM one took 24 ms
+    inside a 190 ms warping run.  Reference counting still frees what
+    the run drops, and the collector's counts carry over, so it runs
+    once after the run.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _modulo_placed(config: CacheConfig) -> bool:
@@ -213,10 +245,10 @@ class LeafExecutor:
                     block = (info[1] + value * info[2]) // block_size
                     if sharded and block % modulus != residue:
                         continue  # another shard owns this block
-                    sym = (info[0], point) if symbolic else None
                     if cache is None:
                         count += 1
-                        access(block, info[4], sym)
+                        access(block, info[4],
+                               (info[0], point) if symbolic else None)
                         continue
                     index = (block // modulus if sharded
                              else block) % num_sets
@@ -227,7 +259,8 @@ class LeafExecutor:
                     except ValueError:
                         misses += 1
                         if descend is not None:
-                            descend(block, info[4], sym)
+                            descend(block, info[4],
+                                    (info[0], point) if symbolic else None)
                         if info[4] and not allocate_writes:
                             continue
                         policy_state = state.policy_state
@@ -250,8 +283,12 @@ class LeafExecutor:
                                 policy_state, assoc, line)
                         state.policy_state = after
                     if symbolic:
-                        state.version += 1
-                        state.syms[line] = sym
+                        # The way's symbol: the drain entry stands for
+                        # its node, and the iteration's accesses share
+                        # one point tuple.
+                        state.stale = True
+                        state.syms[line] = info
+                        state.points[line] = point
             value += stride
             if need_point:
                 point = prefix + (value,)

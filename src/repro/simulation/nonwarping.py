@@ -17,7 +17,7 @@ from repro import obs
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.polyhedral.model import AccessNode, LoopNode, Scop
-from repro.simulation.executor import LeafExecutor
+from repro.simulation.executor import LeafExecutor, collector_paused
 from repro.simulation.result import LevelStats, SimulationResult
 
 Target = Union[Cache, CacheHierarchy]
@@ -44,7 +44,7 @@ def simulate(scop: Scop, target: Target,
     caches = (target.levels if isinstance(target, CacheHierarchy)
               else [target])
     base = [(cache.hits, cache.misses) for cache in caches]
-    with obs.Stopwatch("engine.tree") as watch:
+    with collector_paused(), obs.Stopwatch("engine.tree") as watch:
         executor = LeafExecutor(target)
         for root in scop.roots:
             _walk(executor, root, ())

@@ -46,18 +46,25 @@ class SymbolicSetState(CacheSetState):
     """One cache set holding concrete blocks and their symbols.
 
     ``lines[l]`` is the concrete block in way ``l`` (None = empty), as in
-    :class:`~repro.cache.cache.CacheSetState`; ``syms[l]`` is its symbol,
-    the symbol of the access that last filled or refreshed the way.
-    ``version`` counts the updates, so :meth:`rel_key` can cache.
+    :class:`~repro.cache.cache.CacheSetState`.  Way ``l``'s symbol, the
+    symbol of the access that last filled or refreshed it, is split over
+    two parallel lists so that storing it allocates nothing:
+    ``syms[l]`` is a tuple whose first field is the access node (the
+    ``(node, point)`` pair an access passed in, or the executor's drain
+    entry for that node) and ``points[l]`` is the iteration point.
+    :meth:`symbol` reassembles the pair.  ``stale`` is set by every
+    update, so :meth:`rel_key` can cache.
     """
 
-    __slots__ = ("syms", "version", "_key_cache")
+    __slots__ = ("syms", "points", "stale", "_key_cache")
 
     def __init__(self, assoc: int, policy: ReplacementPolicy):
         super().__init__(assoc, policy)
-        self.syms: List[Optional[SymBlock]] = [None] * assoc
-        self.version = 0
-        # depth -> (version, canonical part, max own-coordinate or None)
+        self.syms: List[Optional[tuple]] = [None] * assoc
+        self.points: List[Optional[Tuple[int, ...]]] = [None] * assoc
+        self.stale = False
+        # depth -> (canonical part, max own-coordinate or None), valid
+        # while the set is not stale
         self._key_cache: dict = {}
 
     def access(self, policy: ReplacementPolicy, block: int,
@@ -66,23 +73,28 @@ class SymbolicSetState(CacheSetState):
         """SymUpSet: the concrete update of
         :meth:`CacheSetState.access`, then the access's symbol is stored
         in the way it filled or refreshed."""
-        self.version += 1
         hit, line = CacheSetState.access(self, policy, block, allocate)
         if line is not None:
+            self.stale = True
             self.syms[line] = sym
+            self.points[line] = None if sym is None else sym[1]
         return hit, line
 
     def empty(self, line: int) -> None:
-        self.version += 1
+        self.stale = True
         self.lines[line] = None
         self.syms[line] = None
+        self.points[line] = None
 
     def symbol(self, line: int) -> Optional[SymBlock]:
-        return self.syms[line]
+        """The ``(node, point)`` symbol of way ``line``, or None when the
+        way is empty."""
+        entry = self.syms[line]
+        return None if entry is None else (entry[0], self.points[line])
 
-    def rel_key(self, depth: int) -> Tuple[int, Tuple, Optional[int]]:
-        """``(version, canonical part, max own coordinate)`` of the set's
-        content relative to the loop at ``depth``.
+    def rel_key(self, depth: int) -> Tuple[Tuple, Optional[int]]:
+        """``(canonical part, max own coordinate)`` of the set's content
+        relative to the loop at ``depth``.
 
         :meth:`SymbolicCache.snapshot_key` turns it into a key relative
         to the current iteration: two set states produce equal keys
@@ -91,8 +103,8 @@ class SymbolicSetState(CacheSetState):
         current iteration — the symbolic equality of Theorem 3.
 
         The key splits into a *canonical part* that depends only on the
-        contents (cached until the set is modified, which bumps
-        ``version``) and a scalar that re-bases the warped iterator:
+        contents (cached per depth until an update marks the set
+        ``stale``) and a scalar that re-bases the warped iterator:
         symbol coordinates other than the loop's own dim are kept
         absolute (the prefix is fixed within an execution; deeper
         coordinates repeat exactly across matching iterations), while
@@ -105,36 +117,40 @@ class SymbolicSetState(CacheSetState):
         coordinates.  A node's points all have one length, so the flat
         tuple still determines every way.
         """
+        if self.stale:
+            self._key_cache.clear()
+            self.stale = False
+        else:
+            cached = self._key_cache.get(depth)
+            if cached is not None:
+                return cached
         own_index = depth - 1
-        cached = self._key_cache.get(depth)
-        if cached is not None and cached[0] == self.version:
-            return cached
         syms = self.syms
+        points = self.points
         flat = [self.policy_state]
         try:
-            owns = [sym[1][own_index] for sym in syms]
+            owns = [point[own_index] for point in points]
         except (TypeError, IndexError):
             # An empty way, or the symbol of a node outside the loop.
-            owns = [sym[1][own_index] for sym in syms
-                    if sym is not None and len(sym[1]) > own_index]
+            owns = [point[own_index] for point in points
+                    if point is not None and len(point) > own_index]
             max_own = max(owns) if owns else None
-            for sym in syms:
-                if sym is None:
+            for entry, point in zip(syms, points):
+                if entry is None:
                     flat.append(None)
                     continue
-                node, point = sym
-                flat.append(node)
+                flat.append(entry[0])
                 flat += point
                 if len(point) > own_index:
                     flat[own_index - len(point)] -= max_own
         else:
             # Every way holds a symbol with an own coordinate.
             max_own = max(owns)
-            for node, point in syms:
-                flat.append(node)
+            for entry, point in zip(syms, points):
+                flat.append(entry[0])
                 flat += point
                 flat[own_index - len(point)] -= max_own
-        cached = self._key_cache[depth] = (self.version, tuple(flat), max_own)
+        cached = self._key_cache[depth] = (tuple(flat), max_own)
         return cached
 
     def clone(self) -> "SymbolicSetState":
@@ -142,8 +158,9 @@ class SymbolicSetState(CacheSetState):
         copy.assoc = self.assoc
         copy.lines = list(self.lines)
         copy.syms = list(self.syms)
+        copy.points = list(self.points)
         copy.policy_state = self.policy_state
-        copy.version = self.version + 1
+        copy.stale = False
         copy._key_cache = {}
         return copy
 
@@ -177,18 +194,20 @@ class SymbolicCache(Cache):
         # of its maximum own coordinate from the current iterator value.
         key = []
         for set_state in sets[mru:] + sets[:mru]:
-            cached = set_state._key_cache.get(depth)
-            if cached is None or cached[0] != set_state.version:
+            cached = (None if set_state.stale
+                      else set_state._key_cache.get(depth))
+            if cached is None:
                 cached = set_state.rel_key(depth)
-            key.append(cached[1])
-            key.append(None if cached[2] is None else cached[2] - own)
+            key.append(cached[0])
+            key.append(None if cached[1] is None else cached[1] - own)
         return tuple(key)
 
     # -- warping -----------------------------------------------------------------------
 
     def apply_rotation(self, rotation: int, delta: Tuple[int, ...],
                        count: int) -> None:
-        """Apply pi^count: rotate sets and shift symbol points.
+        """Apply pi^count: rotate sets and shift symbol points (each
+        way keeps its node).
 
         ``rotation`` is the per-application set rotation (blocks move
         ``rotation`` sets forward), ``delta`` the per-application iterator
@@ -208,12 +227,13 @@ class SymbolicCache(Cache):
         for index, set_state in enumerate(self.sets):
             target = (index + total_rot) % num_sets
             moved = set_state.clone()
-            syms = moved.syms
+            points = moved.points
             lines = moved.lines
-            for line, sym in enumerate(syms):
-                if sym is None:
+            for line, entry in enumerate(moved.syms):
+                if entry is None:
                     continue
-                node, point = sym
+                node = entry[0]
+                point = points[line]
                 key = id(node)
                 blocks = shift_blocks_cache.get(key)
                 if blocks is None:
@@ -235,7 +255,7 @@ class SymbolicCache(Cache):
                             for k in range(len(point)))
                     new_point = moved_points[point] = tuple(
                         map(add, point, advance))
-                syms[line] = (node, new_point)
+                points[line] = new_point
                 lines[line] += blocks
             new_sets[target] = moved
         self.sets = new_sets  # type: ignore[assignment]
@@ -253,17 +273,16 @@ class SymbolicCache(Cache):
         contents: List[List[Optional[int]]] = []
         for set_state in self.sets:
             row: List[Optional[int]] = []
-            for sym in set_state.syms:
-                if sym is None:
+            for entry, point in zip(set_state.syms, set_state.points):
+                if entry is None:
                     row.append(None)
                 else:
-                    node, point = sym
                     shifted = tuple(
                         at_point[k] if k < depth else value
                         for k, value in enumerate(point)
                     )
-                    row.append(node.block_at(shifted,
-                                             self.config.block_size))
+                    row.append(entry[0].block_at(shifted,
+                                                 self.config.block_size))
             contents.append(row)
         return contents
 

@@ -46,7 +46,7 @@ from repro.cache.config import CacheConfig, HierarchyConfig, IndexFunction
 from repro.isl.affine import LinExpr
 from repro.isl.sets import BasicSet
 from repro.polyhedral.model import AccessNode, LoopNode, Scop
-from repro.simulation.executor import LeafExecutor
+from repro.simulation.executor import LeafExecutor, collector_paused
 from repro.simulation.result import SimulationResult
 from repro.simulation.symbolic import SymbolicCache, SymbolicHierarchy
 
@@ -85,7 +85,7 @@ def simulate_warping(scop: Scop, config: TargetConfig,
               if isinstance(config, HierarchyConfig)
               else SymbolicCache(config))
     span_name = "engine.warping" if enable_warping else "engine.symbolic"
-    with obs.Stopwatch(span_name) as watch:
+    with collector_paused(), obs.Stopwatch(span_name) as watch:
         runner = _WarpingRunner(scop, target, enable_warping)
         for root in scop.roots:
             runner.run_node(root, ())
@@ -363,9 +363,9 @@ class _WarpingRunner:
         # nodes may come from outside this loop).
         point_i1 = prefix + (i1,)
         point_i0 = prefix + (i0,)
-        cached_nodes = {sym[0] for level in self.levels
+        cached_nodes = {entry[0] for level in self.levels
                         for set_state in level.sets
-                        for sym in set_state.syms if sym is not None}
+                        for entry in set_state.syms if entry is not None}
         entry_shifts: Dict[int, int] = {}
         for node in cached_nodes:
             if id(node) in shifts:
@@ -717,10 +717,10 @@ class _WarpingRunner:
                     return False
             for set_state in level.sets:
                 lines = set_state.lines
-                for line, sym in enumerate(set_state.syms):
-                    if sym is None:
+                for line, entry in enumerate(set_state.syms):
+                    if entry is None:
                         continue
-                    entry_shift = entry_shifts[id(sym[0])]
+                    entry_shift = entry_shifts[id(entry[0])]
                     # The entry's own movement must respect the rotation.
                     if (entry_shift // modulus) % num_sets != rotation:
                         return False

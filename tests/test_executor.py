@@ -7,6 +7,8 @@ generated loops, the trace-replay (Dinero-style) engine on every
 PolyBench kernel, and merged set shards.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +29,7 @@ from repro.polybench import all_kernel_names, build_kernel
 from repro.polyhedral import ScopBuilder
 from repro.polyhedral.model import LoopNode
 from repro.simulation import simulate_nonwarping, simulate_warping
-from repro.simulation.executor import LeafExecutor
+from repro.simulation.executor import LeafExecutor, collector_paused
 from repro.simulation.symbolic import SymbolicCache, SymbolicHierarchy
 
 L2 = CacheConfig(1024, 4, 16, "qlru", name="L2")
@@ -74,7 +76,8 @@ def _state(target):
     """Everything an access may change, per level."""
     return [
         (cache.hits, cache.misses, getattr(cache, "mru_set", None),
-         [(s.lines, s.policy_state, getattr(s, "syms", None))
+         [(s.lines, s.policy_state,
+           [s.symbol(line) for line in range(s.assoc)])
           for s in cache.sets])
         for cache in _caches(target)
     ]
@@ -295,3 +298,51 @@ def test_traced_run_attributes_every_explicit_access(kernel):
         plain.accesses, plain.warp_count, plain.warp_attempts)
     windows = tracer.stats[("engine.warping", "sym.access")]
     assert windows.count == traced.simulated_accesses
+
+
+def test_collector_paused_restores_the_collector():
+    """The pause ends with the block, also when the block raises, and a
+    collector that was already off stays off."""
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        with collector_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError):
+            with collector_paused():
+                raise RuntimeError("simulated failure")
+        assert gc.isenabled()
+        gc.disable()
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_engines_run_with_the_collector_paused(monkeypatch):
+    """Every drain of both engines runs while the collector is paused,
+    and the collector is back on once the runs return."""
+    seen = []
+    drain = LeafExecutor._drain
+
+    def watched(self, *args):
+        seen.append(gc.isenabled())
+        return drain(self, *args)
+
+    monkeypatch.setattr(LeafExecutor, "_drain", watched)
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        scop = build_kernel("mvt", "MINI")
+        config = CacheConfig(1024, 4, 32, "lru")
+        simulate_nonwarping(scop, Cache(config))
+        simulate_warping(scop, config)
+        simulate_warping(scop, config, enable_warping=False)
+        assert gc.isenabled()
+    finally:
+        if not enabled:
+            gc.disable()
+    assert seen and not any(seen)

@@ -165,21 +165,26 @@ def test_reset():
     assert all(b is None for s in symbolic.sets for b in s.lines)
 
 
+def _symbols(set_state):
+    return [set_state.symbol(line) for line in range(set_state.assoc)]
+
+
 def test_clone_keeps_the_symbolic_types():
     cfg = HierarchyConfig(CacheConfig(64, 2, 16), CacheConfig(128, 2, 16))
     hier = SymbolicHierarchy(cfg)
-    hier.access(3, False, "a")                  # L1 set 1 of 2
-    syms = list(hier.l1.sets[1].syms)
-    assert "a" in syms
+    node = make_scan_scop(8).roots[0].children[0]
+    hier.access(3, False, (node, (0,)))         # L1 set 1 of 2
+    syms = _symbols(hier.l1.sets[1])
+    assert (node, (0,)) in syms
     copy = hier.clone()
     assert type(copy) is SymbolicHierarchy
     assert all(type(level) is SymbolicCache for level in copy.levels)
-    assert copy.l1.sets[1].syms == syms
-    copy.access(5, False, "b")
-    assert hier.l1.sets[1].syms == syms         # the copy is deep
+    assert _symbols(copy.l1.sets[1]) == syms
+    copy.access(5, False, (node, (1,)))
+    assert _symbols(hier.l1.sets[1]) == syms    # the copy is deep
     shifted = hier.apply_bijection(lambda block: block + 1)
     assert type(shifted) is SymbolicHierarchy
     assert type(shifted.l1) is SymbolicCache
     assert 4 in shifted.l1.sets[0].lines        # set 1 moved to set 0
-    assert shifted.l1.sets[0].syms == syms      # symbols ride along
+    assert _symbols(shifted.l1.sets[0]) == syms  # symbols ride along
     assert shifted.l1.mru_set == 0
