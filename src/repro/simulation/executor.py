@@ -38,11 +38,11 @@ symbolic cache the update also stores the access's symbol in the way
 without allocating: the drain entry, whose first field is the access
 node, goes into the set's ``syms`` list and the iteration's point
 tuple, built once per iteration and shared by its accesses, into the
-parallel ``points`` list, and the set is marked ``stale`` for its cached
-snapshot-key parts.  Outer levels and targets that are not inlined
-receive a ``(node, point)`` pair, built only on an L1 miss or a
-non-inlined access.  On either kind the update records the most
-recently used set.
+parallel ``points`` list, and the set is marked ``stale``: changed
+since its last snapshot (the next state key copies it).  Outer levels
+and targets that are not inlined receive a ``(node, point)`` pair,
+built only on an L1 miss or a non-inlined access.  On either kind the
+update records the most recently used set.
 
 Profiling costs O(loop executions), not O(accesses): under an active
 tracer every call is timed as one window, ``sym.access`` on symbolic

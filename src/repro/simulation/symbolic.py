@@ -29,7 +29,7 @@ concrete hierarchy's own.
 from __future__ import annotations
 
 from operator import add
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.cache.cache import Cache, CacheSetState
@@ -52,20 +52,19 @@ class SymbolicSetState(CacheSetState):
     ``syms[l]`` is a tuple whose first field is the access node (the
     ``(node, point)`` pair an access passed in, or the executor's drain
     entry for that node) and ``points[l]`` is the iteration point.
-    :meth:`symbol` reassembles the pair.  ``stale`` is set by every
-    update, so :meth:`rel_key` can cache.
+    :meth:`symbol` reassembles the pair.  ``stale`` means the set changed
+    since its last :meth:`snapshot` (a new or cloned set has none yet):
+    every update sets it.
     """
 
-    __slots__ = ("syms", "points", "stale", "_key_cache")
+    __slots__ = ("syms", "points", "stale", "_snapshot")
 
     def __init__(self, assoc: int, policy: ReplacementPolicy):
         super().__init__(assoc, policy)
         self.syms: List[Optional[tuple]] = [None] * assoc
         self.points: List[Optional[Tuple[int, ...]]] = [None] * assoc
-        self.stale = False
-        # depth -> (canonical part, max own-coordinate or None), valid
-        # while the set is not stale
-        self._key_cache: dict = {}
+        self.stale = True
+        self._snapshot: Optional[Snapshot] = None
 
     def access(self, policy: ReplacementPolicy, block: int,
                allocate: bool = True,
@@ -92,66 +91,14 @@ class SymbolicSetState(CacheSetState):
         entry = self.syms[line]
         return None if entry is None else (entry[0], self.points[line])
 
-    def rel_key(self, depth: int) -> Tuple[Tuple, Optional[int]]:
-        """``(canonical part, max own coordinate)`` of the set's content
-        relative to the loop at ``depth``.
-
-        :meth:`SymbolicCache.snapshot_key` turns it into a key relative
-        to the current iteration: two set states produce equal keys
-        (within one execution of the hashing loop, i.e. for a fixed
-        iterator prefix) iff their symbols agree after re-basing onto the
-        current iteration — the symbolic equality of Theorem 3.
-
-        The key splits into a *canonical part* that depends only on the
-        contents (cached per depth until an update marks the set
-        ``stale``) and a scalar that re-bases the warped iterator:
-        symbol coordinates other than the loop's own dim are kept
-        absolute (the prefix is fixed within an execution; deeper
-        coordinates repeat exactly across matching iterations), while
-        own-dim coordinates are normalised by the set's maximum own
-        coordinate, whose offset from the current iterator value becomes
-        the scalar component.
-
-        The canonical part is one flat tuple: the policy state, then per
-        way either None (empty) or the node followed by its point's
-        coordinates.  A node's points all have one length, so the flat
-        tuple still determines every way.
-        """
+    def snapshot(self) -> "Snapshot":
+        """The set's content as an immutable :data:`Snapshot`: taken
+        afresh when the set is stale, the last one otherwise."""
         if self.stale:
-            self._key_cache.clear()
+            self._snapshot = (self.policy_state, tuple(self.syms),
+                              tuple(self.points), {})
             self.stale = False
-        else:
-            cached = self._key_cache.get(depth)
-            if cached is not None:
-                return cached
-        own_index = depth - 1
-        syms = self.syms
-        points = self.points
-        flat = [self.policy_state]
-        try:
-            owns = [point[own_index] for point in points]
-        except (TypeError, IndexError):
-            # An empty way, or the symbol of a node outside the loop.
-            owns = [point[own_index] for point in points
-                    if point is not None and len(point) > own_index]
-            max_own = max(owns) if owns else None
-            for entry, point in zip(syms, points):
-                if entry is None:
-                    flat.append(None)
-                    continue
-                flat.append(entry[0])
-                flat += point
-                if len(point) > own_index:
-                    flat[own_index - len(point)] -= max_own
-        else:
-            # Every way holds a symbol with an own coordinate.
-            max_own = max(owns)
-            for entry, point in zip(syms, points):
-                flat.append(entry[0])
-                flat += point
-                flat[own_index - len(point)] -= max_own
-        cached = self._key_cache[depth] = (tuple(flat), max_own)
-        return cached
+        return self._snapshot
 
     def clone(self) -> "SymbolicSetState":
         copy = SymbolicSetState.__new__(SymbolicSetState)
@@ -160,9 +107,92 @@ class SymbolicSetState(CacheSetState):
         copy.syms = list(self.syms)
         copy.points = list(self.points)
         copy.policy_state = self.policy_state
-        copy.stale = False
-        copy._key_cache = {}
+        copy.stale = True
+        copy._snapshot = None
         return copy
+
+
+#: A set's content at one moment: ``(policy state, syms, points, parts)``
+#: with ``syms`` and ``points`` frozen into tuples.  ``parts`` memoises
+#: the snapshot's canonical part per loop depth (:func:`exact_key`).
+Snapshot = Tuple[object, tuple, tuple, dict]
+
+
+def _set_part(snapshot: Snapshot, depth: int) -> Tuple[Tuple, Optional[int]]:
+    """``(canonical part, max own coordinate)`` of a set snapshot relative
+    to the loop at ``depth``.
+
+    Symbol coordinates other than the loop's own dim are kept absolute
+    (the prefix is fixed within an execution; deeper coordinates repeat
+    exactly across matching iterations), while own-dim coordinates are
+    normalised by the set's maximum own coordinate, whose offset from the
+    current iterator value :func:`exact_key` adds.
+
+    The canonical part is one flat tuple: the policy state, then per way
+    either None (empty) or the node followed by its point's coordinates.
+    A node's points all have one length, so the flat tuple still
+    determines every way.
+    """
+    policy_state, syms, points, _ = snapshot
+    own_index = depth - 1
+    flat = [policy_state]
+    try:
+        owns = [point[own_index] for point in points]
+    except (TypeError, IndexError):
+        # An empty way, or the symbol of a node outside the loop.
+        owns = [point[own_index] for point in points
+                if point is not None and len(point) > own_index]
+        max_own = max(owns) if owns else None
+        for entry, point in zip(syms, points):
+            if entry is None:
+                flat.append(None)
+                continue
+            flat.append(entry[0])
+            flat += point
+            if len(point) > own_index:
+                flat[own_index - len(point)] -= max_own
+    else:
+        # Every way holds a symbol with an own coordinate.
+        max_own = max(owns)
+        for entry, point in zip(syms, points):
+            flat.append(entry[0])
+            flat += point
+            flat[own_index - len(point)] -= max_own
+    return tuple(flat), max_own
+
+
+def fingerprint(snapshots: Sequence[Snapshot]) -> Tuple:
+    """The policy states of the sets ``snapshots``, in order.
+
+    Every set's part of the :func:`exact_key` begins with its policy
+    state, so the fingerprint is a projection of the exact key: two
+    states with equal keys have equal fingerprints.
+    """
+    return tuple([snapshot[0] for snapshot in snapshots])
+
+
+def exact_key(snapshots: Sequence[Snapshot], depth: int, own: int) -> Tuple:
+    """Rotation-canonical state key (paper Sec. 5.3) of the sets
+    ``snapshots``, taken in rotation order while the loop at ``depth``
+    was at iterator value ``own``.
+
+    Two states produce equal keys (within one execution of the loop, i.e.
+    for a fixed iterator prefix) iff their symbols agree after re-basing
+    onto their own iterations, the symbolic equality of Theorem 3.  Per
+    set, the key holds the snapshot's canonical part (memoised per
+    depth in the snapshot) and the offset of its maximum own coordinate
+    from ``own``.
+    """
+    obs.count("sym.canonical_keys")
+    key = []
+    for snapshot in snapshots:
+        parts = snapshot[3]
+        part = parts.get(depth)
+        if part is None:
+            part = parts[depth] = _set_part(snapshot, depth)
+        key.append(part[0])
+        key.append(None if part[1] is None else part[1] - own)
+    return tuple(key)
 
 
 class SymbolicCache(Cache):
@@ -178,29 +208,24 @@ class SymbolicCache(Cache):
 
     # -- match detection ----------------------------------------------------------
 
-    def snapshot_key(self, depth: int, current: Tuple[int, ...]) -> Tuple:
-        """Rotation-canonical state key (paper Sec. 5.3).
-
-        Hashing starts at the most-recently-accessed set and cycles, so
-        two states that are equal up to a rotation of the cache sets
-        produce the same key; the rotation offset is recovered from the
-        difference of the two states' ``mru_set`` values.
-        """
+    def snapshots(self) -> Tuple[Snapshot, ...]:
+        """Every set's :meth:`~SymbolicSetState.snapshot`, in rotation
+        order: hashing starts at the most-recently-accessed set and
+        cycles, so two states that are equal up to a rotation of the
+        cache sets list equal contents (the rotation offset is recovered
+        from the difference of the two states' ``mru_set`` values).
+        Only the sets changed since their last snapshot are copied."""
         obs.count("sym.snapshot_keys")
-        own = current[depth - 1]
         sets = self.sets
         mru = self.mru_set
-        # Per set in rotation order: its canonical part, then the offset
-        # of its maximum own coordinate from the current iterator value.
-        key = []
-        for set_state in sets[mru:] + sets[:mru]:
-            cached = (None if set_state.stale
-                      else set_state._key_cache.get(depth))
-            if cached is None:
-                cached = set_state.rel_key(depth)
-            key.append(cached[0])
-            key.append(None if cached[1] is None else cached[1] - own)
-        return tuple(key)
+        return tuple([set_state.snapshot() if set_state.stale
+                      else set_state._snapshot
+                      for set_state in sets[mru:] + sets[:mru]])
+
+    def snapshot_key(self, depth: int, current: Tuple[int, ...]) -> Tuple:
+        """The :func:`exact_key` of the current state at iteration
+        ``current`` of the loop at ``depth``."""
+        return exact_key(self.snapshots(), depth, current[depth - 1])
 
     # -- warping -----------------------------------------------------------------------
 

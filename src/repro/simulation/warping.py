@@ -11,10 +11,13 @@ advanced analytically (Theorem 4).
 
 Design notes relative to the paper:
 
-* Match detection uses per-loop-node hash maps over rotation-canonical
-  state keys (hashing starts at the most-recently-accessed set), exactly
-  as described in Sec. 5.3.  We store the full canonical key, so there
-  are no hash-collision soundness concerns.
+* Match detection uses per-loop-execution hash maps over
+  rotation-canonical state keys (hashing starts at the most-recently-
+  accessed set), as described in Sec. 5.3, in two stages: the map is
+  keyed by the state's *fingerprint*, its sets' policy states, and the
+  exact key is built only when a fingerprint recurs (see
+  ``_WarpingRunner.run_loop``).  Matches compare full exact keys, so
+  there are no hash-collision soundness concerns.
 * Access functions are affine, hence the byte-address shift of an access
   node under an iterator delta is a *constant*; warping is attempted only
   when every relevant shift is a multiple of the block size, which makes
@@ -48,7 +51,12 @@ from repro.isl.sets import BasicSet
 from repro.polyhedral.model import AccessNode, LoopNode, Scop
 from repro.simulation.executor import LeafExecutor, collector_paused
 from repro.simulation.result import SimulationResult
-from repro.simulation.symbolic import SymbolicCache, SymbolicHierarchy
+from repro.simulation.symbolic import (
+    SymbolicCache,
+    SymbolicHierarchy,
+    exact_key,
+    fingerprint,
+)
 
 TargetConfig = Union[CacheConfig, HierarchyConfig]
 
@@ -108,15 +116,17 @@ class _WarpingRunner:
     #: looking for matches (bounds analysis cost on warp-hostile loops).
     max_fail_streak = 8
 
-    #: Executions of a loop node without a single state match after which
-    #: that loop node stops match detection altogether.  Loops whose state
-    #: pattern never recurs (no symbolically equivalent states, cf. the
-    #: paper's Sec. 6.2 discussion) pay the hashing overhead on every
-    #: iteration otherwise; their sibling executions behave alike, so a
-    #: few matchless executions are a reliable predictor.  Executions too
-    #: short to warp (see ``_LoopPlan.period``) skip match detection and
-    #: do not count.  Sound: skipping match detection never changes
-    #: simulation results, only speed.
+    #: Executions of a loop node in a row without a single warp after
+    #: which that loop node stops match detection altogether.  Loops
+    #: whose state pattern never recurs (no symbolically equivalent
+    #: states, cf. the paper's Sec. 6.2 discussion), or recurs too late
+    #: to warp, pay the hashing overhead on every key otherwise; their
+    #: sibling executions behave alike, so a few executions without a
+    #: warp are a reliable predictor.  A match that no attempt turns into
+    #: a warp does not reset the count.  Executions too short to warp
+    #: (see ``_LoopPlan.period``) skip match detection and do not count.
+    #: Sound: skipping match detection never changes simulation results,
+    #: only speed.
     max_matchless_executions = 3
 
     def __init__(self, scop: Scop,
@@ -163,7 +173,7 @@ class _WarpingRunner:
         self._hull_plans: Dict[Tuple[int, int], object] = {}
         # Static pair-level disjointness for FurthestByOverlap.
         self._pair_disjoint: Dict[Tuple[int, int], bool] = {}
-        # Per-loop-node count of executions that found no match at all.
+        # Per-loop-node count of executions in a row that did not warp.
         self._matchless_runs: Dict[int, int] = {}
 
     @property
@@ -217,8 +227,10 @@ class _WarpingRunner:
         levels = self.levels
         single = levels[0] if len(levels) == 1 else None
         check_domain = not loop._bounds_exact
-        had_match = False
-        history: Dict[Tuple, Tuple[int, Tuple[Tuple[int, int], ...], int]] = {}
+        had_warp = False
+        # Fingerprint -> the key iterations that had it, oldest first, as
+        # [value, counters, accesses, snapshots, exact key or None].
+        history: Dict[Tuple, List[list]] = {}
         # Per-loop-execution cache for the polyhedral analyses.
         analysis_cache: Dict = {}
         fail_streak = 0
@@ -237,23 +249,34 @@ class _WarpingRunner:
                 continue
             warped = False
             if matching and (value - lo) % period == 0:
-                # The whole match-detection block (state keys, history
+                # The whole match-detection block (snapshots, history
                 # lookup/update) is one warp.bookkeeping span when
                 # profiling; warp.analysis nests inside it.
                 with obs.span("warp.bookkeeping"):
                     if single is not None:
-                        key = single.snapshot_key(depth, point)
+                        snapshots = single.snapshots()
                     else:
-                        key = tuple([level.snapshot_key(depth, point)
-                                     for level in levels])
-                    # This iteration's entry; one hash when the key is new.
-                    now = (value,
+                        snapshots = ()
+                        for level in levels:
+                            snapshots += level.snapshots()
+                    now = [value,
                            tuple([(lvl.hits, lvl.misses) for lvl in levels]),
-                           executor.accesses + self.warped_accesses)
-                    entry = history.setdefault(key, now)
-                    if entry is not now:
-                        had_match = True
-                        i0, counters0, acc0 = entry
+                           executor.accesses + self.warped_accesses,
+                           snapshots, None]
+                    # Equal exact keys imply equal fingerprints, so
+                    # only a recurring fingerprint can match.
+                    key = fingerprint(snapshots)
+                    bucket = history.get(key)
+                    if bucket is None:
+                        # A new fingerprint: no exact key is needed.
+                        history[key] = [now]
+                        entry = None
+                    else:
+                        # The current entry replaces the match, if any.
+                        entry = _newest_equal(bucket, now, depth)
+                        bucket.append(now)
+                    if entry is not None:
+                        i0, counters0, acc0 = entry[:3]
                         delta = value - i0
                         if delta > 0:
                             self.warp_attempts += 1
@@ -265,13 +288,15 @@ class _WarpingRunner:
                                 )
                             if warped:
                                 obs.count("warp.hits")
+                                had_warp = True
                                 value = value + delta * self._last_n
                                 point = prefix + (value,)
                                 fail_streak = 0
-                                now = (value,
-                                       tuple([(lvl.hits, lvl.misses)
-                                              for lvl in levels]),
-                                       self.accesses)
+                                # The entry keeps its exact key at i1.
+                                now[0] = value
+                                now[1] = tuple([(lvl.hits, lvl.misses)
+                                                for lvl in levels])
+                                now[2] = self.accesses
                             else:
                                 fail_streak += 1
                                 if fail_streak >= self.max_fail_streak:
@@ -281,7 +306,6 @@ class _WarpingRunner:
                                     # (sound: warping is an
                                     # acceleration, never required).
                                     matching = False
-                        history[key] = now
             if not warped:
                 if leaf:
                     # An innermost loop drains up to its next key (it
@@ -297,7 +321,7 @@ class _WarpingRunner:
                 value += stride
         if detecting:
             self._matchless_runs[id(loop)] = (
-                0 if had_match else matchless + 1)
+                0 if had_warp else matchless + 1)
 
     # -- warping --------------------------------------------------------------------
 
@@ -892,6 +916,29 @@ class _LoopPlan:
         for coeff_a, coeff_b in combinations(steady, 2):  # (b): one rotation
             period = lcm(period, span // gcd(coeff_a - coeff_b, span))
         self.period = period
+
+
+def _newest_equal(bucket: List[list], now: list,
+                  depth: int) -> Optional[list]:
+    """Remove and return the newest entry of ``bucket`` whose exact key
+    equals that of ``now``, or None.
+
+    Each entry's key is built from its own snapshots at its own iterator
+    value, once, and the entry then drops its snapshots.  The newest
+    equal entry is the one a map from exact keys to the latest entry
+    would hold.
+    """
+    key = now[4] = exact_key(now[3], depth, now[0])
+    now[3] = None
+    for index in range(len(bucket) - 1, -1, -1):
+        entry = bucket[index]
+        if entry[4] is None:
+            entry[4] = exact_key(entry[3], depth, entry[0])
+            entry[3] = None
+        if entry[4] == key:
+            del bucket[index]
+            return entry
+    return None
 
 
 def _terms(expr: LinExpr, position: Dict[str, int]) -> tuple:

@@ -163,16 +163,23 @@ def _run_python_block(body: str, lang: str) -> None:
 @pytest.mark.parametrize(
     "where,index,lang,body",
     BLOCKS,
-    ids=[f"{where}#{index}" for where, index, _, _ in BLOCKS])
+    # Named by file and ordinal, so prose edits above a block do not
+    # rename its test; the failure message gives the line.
+    ids=[f"{where.rsplit(':', 1)[0]}#{index}"
+         for where, index, _, _ in BLOCKS])
 def test_fenced_block_executes(where, index, lang, body, tmp_path,
                                monkeypatch):
     monkeypatch.chdir(tmp_path)
-    if lang in PYTHON_LANGS:
-        _run_python_block(body, lang)
-    elif lang in SHELL_LANGS:
-        _run_shell_block(body)
-    else:
+    if lang not in PYTHON_LANGS | SHELL_LANGS:
         pytest.skip(f"{lang or 'untagged'} block is prose, not code")
+    try:
+        if lang in PYTHON_LANGS:
+            _run_python_block(body, lang)
+        else:
+            _run_shell_block(body)
+    except Exception as exc:
+        raise AssertionError(f"the {lang} block at {where} failed: "
+                             f"{exc!r}") from exc
 
 
 def test_every_block_is_tagged():

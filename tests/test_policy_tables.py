@@ -45,15 +45,17 @@ class ReferenceSet:
             self.lines[line] = block
         return False
 
+    def empty(self, line):
+        self.lines[line] = None
+
 
 def drop(set_state, block):
     """Empty the way holding ``block``, leaving the policy state alone:
-    what inclusive back-invalidation and exclusive extraction do."""
+    what inclusive back-invalidation and exclusive extraction do.  Each
+    set empties it itself: a symbolic set also drops the way's symbol
+    and marks itself stale."""
     if block in set_state.lines:
-        line = set_state.lines.index(block)
-        set_state.lines[line] = None
-        if hasattr(set_state, "syms"):
-            set_state.syms[line] = None
+        set_state.empty(set_state.lines.index(block))
 
 
 def replay(policy_name, assoc, write_policy, trace):

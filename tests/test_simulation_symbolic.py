@@ -10,6 +10,7 @@ from repro.simulation.symbolic import (
     SymbolicCache,
     SymbolicHierarchy,
     evaluate_symbol,
+    fingerprint,
 )
 
 
@@ -188,3 +189,77 @@ def test_clone_keeps_the_symbolic_types():
     assert 4 in shifted.l1.sets[0].lines        # set 1 moved to set 0
     assert _symbols(shifted.l1.sets[0]) == syms  # symbols ride along
     assert shifted.l1.mru_set == 0
+
+
+# -- two-stage match detection -----------------------------------------------------
+
+
+def test_equal_policy_states_share_a_fingerprint_not_a_key():
+    """The fingerprint (policy states in rotation order) is only a
+    necessary condition: the same blocks filled by another access node
+    leave every policy state alike, but not the symbols."""
+    cfg = CacheConfig(128, 2, 16, "lru")
+    first, second = SymbolicCache(cfg), SymbolicCache(cfg)
+    node_a = make_scan_scop().roots[0].children[0]
+    node_b = make_scan_scop().roots[0].children[0]
+    for i in range(12):
+        block = node_a.addr_at((i,)) // 16
+        first.access(block, False, (node_a, (i,)))
+        second.access(block, False, (node_b, (i,)))
+    assert [s.lines for s in first.sets] == [s.lines for s in second.sets]
+    assert fingerprint(first.snapshots()) == fingerprint(second.snapshots())
+    assert first.snapshot_key(1, (12,)) != second.snapshot_key(1, (12,))
+
+
+def test_rotated_image_has_the_same_exact_key():
+    """A state and its image one period (two iterations: one block) and
+    one set rotation later are the same state up to rotation, so they
+    get equal fingerprints and equal exact keys."""
+    cfg = CacheConfig(128, 2, 16, "lru")  # 4 sets, 2 doubles per block
+    node = make_scan_scop().roots[0].children[0]
+    symbolic = SymbolicCache(cfg)
+    for i in range(23):
+        symbolic.access(node.addr_at((i,)) // 16, False, (node, (i,)))
+    key = symbolic.snapshot_key(1, (23,))
+    image = symbolic.clone()
+    image.apply_rotation(1, (2,), 1)
+    assert image.mru_set == (symbolic.mru_set + 1) % cfg.num_sets
+    assert [s.lines for s in image.sets] != [s.lines for s in symbolic.sets]
+    assert fingerprint(image.snapshots()) == fingerprint(symbolic.snapshots())
+    assert image.snapshot_key(1, (25,)) == key
+    # Re-based onto another iteration, the same state is another key.
+    assert image.snapshot_key(1, (24,)) != key
+
+
+def test_snapshot_is_shared_until_the_set_changes():
+    cfg = CacheConfig(128, 2, 16, "lru")
+    node = make_scan_scop().roots[0].children[0]
+    symbolic = SymbolicCache(cfg)
+    symbolic.access(0, False, (node, (0,)))
+    set_state = symbolic.sets[0]
+
+    def content():
+        return (set_state.policy_state, tuple(set_state.syms),
+                tuple(set_state.points))
+
+    first = set_state.snapshot()
+    assert first[:3] == content()
+    assert set_state.snapshot() is first
+    # Only the changed set is copied; the others keep their snapshots.
+    # Rotation order starts at the most recently used set: 0, then 1.
+    before = symbolic.snapshots()
+    symbolic.access(1, False, (node, (2,)))     # set 1
+    after = symbolic.snapshots()
+    assert [a is b for a, b in zip(before[1:] + before[:1], after)] == [
+        False, True, True, True]
+    set_state.access(symbolic.policy, 0, True, (node, (8,)))  # a hit
+    second = set_state.snapshot()
+    assert second is not first and second[:3] == content()
+    assert (8,) in second[2]
+    set_state.empty(set_state.lines.index(0))
+    third = set_state.snapshot()
+    assert third is not second and third[:3] == content()
+    assert third[1:3] == ((None, None), (None, None))
+    # A clone has no snapshot yet: it takes its own, with equal content.
+    copy = set_state.clone()
+    assert copy.snapshot() is not third and copy.snapshot()[:3] == third[:3]

@@ -346,6 +346,65 @@ def test_skipped_executions_do_not_switch_the_loop_off():
     assert warped.l1_misses == reference.l1_misses
 
 
+# -- match-detection pins -------------------------------------------------------------
+
+
+#: Per kernel at MINI: (warp attempts, warps, warped accesses, state keys)
+#: on the scaled PLRU L1 alone and under the QLRU-16 L2.  Warps and warped
+#: accesses are those of the one-stage key map; attempts and keys those of
+#: the cut-off that counts executions without a warp.
+MATCH_PINS = {
+    "l1": {
+        "2mm": (0, 0, 0, 62), "3mm": (0, 0, 0, 92),
+        "adi": (3, 1, 95472, 87), "atax": (0, 0, 0, 19),
+        "bicg": (0, 0, 0, 19), "cholesky": (0, 0, 0, 16),
+        "correlation": (0, 0, 0, 109), "covariance": (0, 0, 0, 112),
+        "deriche": (12, 6, 43776, 680), "doitgen": (0, 0, 0, 52),
+        "durbin": (0, 0, 0, 27), "fdtd-2d": (4, 0, 0, 257),
+        "floyd-warshall": (0, 0, 0, 240), "gemm": (0, 0, 0, 128),
+        "gemver": (0, 0, 0, 130), "gesummv": (0, 0, 0, 7),
+        "gramschmidt": (0, 0, 0, 57), "heat-3d": (3, 1, 135168, 117),
+        "jacobi-1d": (1, 1, 4032, 31), "jacobi-2d": (3, 1, 112896, 219),
+        "lu": (4, 1, 0, 162), "ludcmp": (0, 0, 0, 106),
+        "mvt": (0, 0, 0, 80), "nussinov": (1, 0, 0, 66),
+        "seidel-2d": (4, 1, 173280, 150), "symm": (0, 0, 0, 20),
+        "syr2k": (3, 0, 0, 96), "syrk": (3, 0, 0, 96),
+        "trisolv": (0, 0, 0, 10), "trmm": (0, 0, 0, 41),
+    },
+    "l1+l2": {
+        "2mm": (0, 0, 0, 124), "3mm": (0, 0, 0, 184),
+        "adi": (2, 1, 95472, 174), "atax": (0, 0, 0, 38),
+        "bicg": (0, 0, 0, 38), "cholesky": (0, 0, 0, 32),
+        "correlation": (0, 0, 0, 146), "covariance": (0, 0, 0, 176),
+        "deriche": (11, 2, 8192, 1772), "doitgen": (0, 0, 0, 104),
+        "durbin": (0, 0, 0, 30), "fdtd-2d": (0, 0, 0, 514),
+        "floyd-warshall": (0, 0, 0, 480), "gemm": (0, 0, 0, 256),
+        "gemver": (0, 0, 0, 260), "gesummv": (0, 0, 0, 14),
+        "gramschmidt": (0, 0, 0, 114), "heat-3d": (2, 1, 135168, 234),
+        "jacobi-1d": (0, 0, 0, 124), "jacobi-2d": (2, 1, 112896, 438),
+        "lu": (2, 1, 0, 324), "ludcmp": (0, 0, 0, 196),
+        "mvt": (0, 0, 0, 160), "nussinov": (1, 0, 0, 132),
+        "seidel-2d": (2, 1, 173280, 300), "symm": (0, 0, 0, 40),
+        "syr2k": (0, 0, 0, 192), "syrk": (0, 0, 0, 192),
+        "trisolv": (0, 0, 0, 4), "trmm": (0, 0, 0, 82),
+    },
+}
+
+
+@pytest.mark.parametrize("target", sorted(MATCH_PINS))
+@pytest.mark.parametrize("kernel", sorted(MATCH_PINS["l1"]))
+def test_match_detection_pins(kernel, target):
+    """Which states match, and against which earlier entry, decides every
+    attempt; a lookup that matched an older equal state, or a state with
+    equal policy states only, would move these counts."""
+    config = scaled_l1() if target == "l1" else scaled_hierarchy(2)
+    with obs.collect() as tracer:
+        result = simulate_warping(build_kernel(kernel, "MINI"), config)
+    assert (result.warp_attempts, result.warp_count, result.warped_accesses,
+            tracer.counters.get("sym.snapshot_keys", 0)) == \
+        MATCH_PINS[target][kernel]
+
+
 @st.composite
 def short_and_long_nests(draw):
     """1-2-deep nests with strides 1-3 whose inner trip count grows with
