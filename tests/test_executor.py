@@ -7,7 +7,9 @@ generated loops, the trace-replay (Dinero-style) engine on every
 PolyBench kernel, and merged set shards.
 """
 
+import ast
 import gc
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,7 @@ from repro.polybench import all_kernel_names, build_kernel
 from repro.polyhedral import ScopBuilder
 from repro.polyhedral.model import LoopNode
 from repro.simulation import simulate_nonwarping, simulate_warping
+from repro.simulation import executor as executor_module
 from repro.simulation.executor import LeafExecutor, collector_paused
 from repro.simulation.symbolic import SymbolicCache, SymbolicHierarchy
 
@@ -346,3 +349,210 @@ def test_engines_run_with_the_collector_paused(monkeypatch):
         if not enabled:
             gc.disable()
     assert seen and not any(seen)
+
+
+# -- inlined outer levels ---------------------------------------------------------
+
+LEVEL = st.tuples(st.sampled_from(["lru", "fifo", "plru", "qlru"]),
+                  st.sampled_from(list(WritePolicy)))
+
+
+def _nine3(levels, shard):
+    """A three-level NINE hierarchy of 8, 16 and 32 sets with the drawn
+    ``(policy, write policy)`` per level, sharded by ``shard``."""
+    geometry = [(256, 2), (512, 2), (1024, 2)]
+    config = HierarchyConfig(*(
+        CacheConfig(size, assoc, 16, policy, write_policy=write_policy,
+                    name=f"L{number}")
+        for number, ((size, assoc), (policy, write_policy))
+        in enumerate(zip(geometry, levels), start=1)))
+    return shard_target_config(config, *shard)
+
+
+@pytest.mark.parametrize("kind", ["concrete", "symbolic"])
+@pytest.mark.parametrize("entry", ["run", "run_point"])
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(accesses=st.lists(ACCESS, min_size=1, max_size=4),
+       lo=st.integers(0, 10), trips=st.integers(0, 60),
+       stride=st.integers(1, 3), levels=st.tuples(LEVEL, LEVEL, LEVEL),
+       shard=st.sampled_from([(1, 0), (2, 1), (4, 3)]))
+def test_inlined_outer_levels_equal_per_access_hierarchy(
+        kind, entry, accesses, lo, trips, stride, levels, shard):
+    """Every level of a NINE hierarchy is updated inline: an L1 miss
+    reaches the L2 and L3 in the executor's own code, and a write miss at
+    a no-write-allocate level reaches the next level without filling.
+    The result equals ``access`` on the hierarchy, one access at a
+    time, per level (lines, policy states, symbols, ``mru_set`` and
+    counters)."""
+    scop = _leaf_scop(accesses, lo, trips, stride)
+    loop = scop.roots[0]
+    config = _nine3(levels, shard)
+    hierarchy = (CacheHierarchy if kind == "concrete"
+                 else SymbolicHierarchy)
+    target, reference = hierarchy(config), hierarchy(config)
+
+    def hooked(*args):
+        raise AssertionError("a NINE hierarchy must not be hooked")
+
+    target.access = hooked
+    executor = LeafExecutor(target)
+    if kind == "concrete":
+        def reference_access(block, node, point):
+            reference.access(block, node.is_write)
+    else:
+        def reference_access(block, node, point):
+            reference.access(block, node.is_write, (node, point))
+    bounds = loop.bounds_at(())
+    if bounds is not None and entry == "run":
+        executor.run(loop, (), *bounds)
+    elif bounds is not None:
+        nodes = tuple(loop.children)
+        for value in range(bounds[0], bounds[1] + 1, loop.stride):
+            executor.run_point(nodes, (value,))
+    expected = _reference(loop, (), 16, *shard, reference_access)
+    assert executor.accesses == expected
+    assert _state(target) == _state(reference)
+
+
+# -- compiled drains --------------------------------------------------------------
+
+def _shaped_scop(name, array):
+    """A guarded read and an unguarded write per iteration; ``name`` and
+    ``array`` only rename things (labels carry the array name)."""
+    b = ScopBuilder(name)
+    X = b.array(array, (4096,))
+    with b.loop("i", 0, 50):
+        b.read(X, 3 * b.i + 7, guard=[b.i - 4])
+        b.write(X, b.i + 900)
+    return b.build()
+
+
+def test_bodies_of_one_shape_share_one_drain():
+    """The compiled drain depends on the body's shape, not on its names:
+    two SCoPs with other array names and labels run one function."""
+    config = CacheConfig(256, 2, 16, "plru")
+    drains, labels = [], []
+    for name, array in (("first", "A"), ("second", "Zeta_9")):
+        scop = _shaped_scop(name, array)
+        executor = LeafExecutor(SymbolicCache(config))
+        loop = scop.roots[0]
+        executor.run(loop, (), *loop.bounds_at(()))
+        drains.append(executor._plans[loop][0])
+        labels.append([node.label for node in loop.children])
+    assert labels[0] != labels[1]
+    assert drains[0] is drains[1]
+
+
+def test_a_second_run_compiles_nothing(monkeypatch):
+    """Drains are compiled once per shape for the process: a second gemm
+    run on the same target kinds generates no source."""
+    scop = build_kernel("gemm", "MINI")
+    config = CacheConfig(1024, 4, 32, "plru")
+
+    def runs():
+        simulate_nonwarping(scop, Cache(config))
+        simulate_warping(scop, config)
+        simulate_warping(scop, config, enable_warping=False)
+
+    runs()
+    generated = []
+    source = executor_module.drain_source
+
+    def recorded(shape):
+        generated.append(shape)
+        return source(shape)
+
+    monkeypatch.setattr(executor_module, "drain_source", recorded)
+    runs()
+    assert generated == []
+
+
+@pytest.mark.parametrize("kernel", ["durbin", "adi", "lu"])
+def test_engines_plan_every_body_before_the_first_drain(kernel,
+                                                         monkeypatch):
+    """The engines plan, and so compile, every body before they start
+    timing: no plan is built once the first drain has run (durbin has
+    accesses outside any loop, adi and lu loops beside accesses)."""
+    events = []
+    plan, drain = LeafExecutor._plan, LeafExecutor._drain
+
+    def planned(self, body):
+        events.append("plan")
+        return plan(self, body)
+
+    def drained(self, *args):
+        events.append("drain")
+        return drain(self, *args)
+
+    monkeypatch.setattr(LeafExecutor, "_plan", planned)
+    monkeypatch.setattr(LeafExecutor, "_drain", drained)
+    scop = build_kernel(kernel, "MINI")
+    config = HierarchyConfig(CacheConfig(512, 2, 32, "lru", name="L1"),
+                             CacheConfig(2048, 4, 32, "plru", name="L2"))
+    for run in (lambda: simulate_nonwarping(scop, CacheHierarchy(config)),
+                lambda: simulate_warping(scop, config),
+                lambda: simulate_warping(scop, config,
+                                         enable_warping=False)):
+        events.clear()
+        run()
+        first = events.index("drain")
+        assert "plan" in events[:first]
+        assert "plan" not in events[first:]
+
+
+#: Every name the generator may write: fixed words, and per access or
+#: level a fixed stem followed by the access or level number.
+_GENERATED_NAME = re.compile(
+    r"drain|ex|start|plan|point|value|hi|stride|in_domain|bs|modulus|"
+    r"residue|unit|access|count|prefix|block|sblock|ps|row|after|tracer|"
+    r"mul|map|sum|perf_counter|KeyError|_|block_size|_access|_inline|"
+    r"accesses|_tracer|add_time|_span|sets|hits|misses|mru_set|lines|"
+    r"policy_state|stale|syms|points|index|"
+    r"([neqkdao]|cache|nsets|assoc|hrows|hrow|onhit|evict|eentry|amiss|"
+    r"sets|hits|misses|index|state|lines|line)\d+")
+
+
+def test_generated_source_holds_only_generator_names():
+    """Kernel text cannot reach the generated code: the source of every
+    drain compiled for several kernels and targets holds only names and
+    int, bool or None constants the generator chooses, and it parses as
+    Python 3.9, the oldest version CI runs."""
+    l1 = CacheConfig(256, 2, 16, "plru", name="L1")
+    nine = HierarchyConfig(
+        l1, CacheConfig(512, 2, 16, "qlru", name="L2",
+                        write_policy=WritePolicy.NO_WRITE_ALLOCATE),
+        CacheConfig(1024, 2, 16, "lru", name="L3"))
+    targets = [l1, nine, shard_target_config(nine, 2, 1),
+               HierarchyConfig(*nine.levels, inclusion="exclusive"),
+               CacheConfig(256, 2, 16, "lru",
+                           index_function=IndexFunction.XOR_FOLD)]
+    executor_module._DRAINS.clear()
+    words = set()
+    for kernel in ("gemm", "jacobi-2d", "trisolv"):
+        scop = build_kernel(kernel, "MINI")
+        words |= set(scop.layout.arrays)
+        words |= {node.label for root in scop.roots
+                  for node in root.access_descendants()}
+        for config in targets:
+            simulate_warping(scop, config)
+            concrete = (CacheHierarchy(config)
+                        if isinstance(config, HierarchyConfig)
+                        else Cache(config))
+            simulate_nonwarping(scop, concrete)
+    shapes = list(executor_module._DRAINS)
+    assert len(shapes) >= 10
+    for shape in shapes:
+        source = executor_module.drain_source(shape)
+        tree = ast.parse(source, feature_version=(3, 9))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                assert type(node.value) in (bool, int, type(None)), node.value
+            elif isinstance(node, ast.Name):
+                assert _GENERATED_NAME.fullmatch(node.id), node.id
+            elif isinstance(node, ast.Attribute):
+                assert _GENERATED_NAME.fullmatch(node.attr), node.attr
+            elif isinstance(node, ast.arg):
+                assert _GENERATED_NAME.fullmatch(node.arg), node.arg
+            assert not isinstance(node, (ast.JoinedStr, ast.Import,
+                                         ast.ImportFrom, ast.Lambda))
+        assert not any(word in source for word in words if len(word) > 2)
