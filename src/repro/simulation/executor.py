@@ -46,6 +46,18 @@ no-write-allocate level goes on without filling.  Any other target
 (hashed placement, inclusive or exclusive hierarchies) gets one
 ``target.access(block, is_write, sym)`` call per access.
 
+Where the L1 update is inlined, every access also has a *remembered
+way*: four locals holding the L1 set's ``lines`` list, the way, the set
+index and the set, as they stood after the access's last update in this
+call.  The access first tests ``lines[way] == block``; if that holds it
+is an L1 hit in that way, and only the hit's policy update, counters and
+symbol store run.  Otherwise the full update runs and the access then
+remembers the way its block occupies (a write that misses a
+no-write-allocate L1 places nothing and remembers nothing).  The test is
+exact: a set holds only blocks that map to it, each at most once; no set
+or ``lines`` list is replaced during a call (warps run between calls);
+and the memo starts empty at every call.
+
 A symbolic cache (:class:`~repro.simulation.symbolic.SymbolicCache`) is
 a concrete :class:`~repro.cache.cache.Cache` whose sets also keep each
 way's symbol, so both share the set layout the inlined update relies
@@ -331,6 +343,11 @@ def drain_source(shape: Shape) -> str:
                     f"    index{j} = None"]
     for k in range(len(accesses)):
         out.append(f"    a{k} = k{k} + sum(map(mul, q{k}, point))")
+        if allocates is not None:
+            # No way is remembered yet: a one-way list that holds no
+            # block fails the first test.
+            out += [f"    rlines{k} = (None,)",
+                    f"    rline{k} = 0"]
         if sharded:
             # An access whose step is a multiple of the shard's block
             # stride keeps its residue class for the whole drain: if
@@ -346,8 +363,8 @@ def drain_source(shape: Shape) -> str:
                       f"access(block, {is_write}, (n{k}, point))" if symbolic
                       else f"access(block, {is_write})"]
         else:
-            update = _level_source(0, k, is_write, symbolic, sharded,
-                                   allocates)
+            update = _remembered_source(k, is_write, symbolic, sharded,
+                                        allocates)
         if sharded:
             step = [f"if o{k}:",
                     f"    block = a{k} // bs",
@@ -387,31 +404,44 @@ def drain_source(shape: Shape) -> str:
     return "\n".join(out)
 
 
+def _remembered_source(k: int, is_write: bool, symbolic: bool,
+                       sharded: bool,
+                       allocates: Tuple[bool, ...]) -> List[str]:
+    """Source of access ``k``'s update of the inlined levels: a hit in the
+    L1 way its block took at the access's last update in this call (the
+    remembered way: ``rlines{k}[rline{k}]`` of set ``rindex{k}``,
+    ``rstate{k}``), else the update of level 0."""
+    return ([f"if rlines{k}[rline{k}] == block:",
+             f"    index0 = rindex{k}"]
+            + _indent(_hit_source(0, f"rstate{k}", f"rline{k}")
+                      + _store_source(k, f"rstate{k}", f"rline{k}", symbolic))
+            + ["else:"]
+            + _indent(_level_source(0, k, is_write, symbolic, sharded,
+                                    allocates)))
+
+
 def _level_source(j: int, k: int, is_write: bool, symbolic: bool,
                   sharded: bool, allocates: Tuple[bool, ...]) -> List[str]:
     """Source of access ``k``'s update of inlined level ``j``; its miss
-    branch holds the update of level ``j + 1`` (the NINE descent)."""
+    branch holds the update of level ``j + 1`` (the NINE descent).  At
+    level 0 the access then remembers the way its block occupies."""
     allocate = not is_write or allocates[j]
-    store = [f"state{j}.stale = True",
-             f"state{j}.syms[line{j}] = e{k}",
-             f"state{j}.points[line{j}] = point"] if symbolic else []
+    # What follows a hit, or a fill: the symbol store and, at level 0,
+    # the remembered way.
+    placed = _store_source(k, f"state{j}", f"line{j}", symbolic)
+    if j == 0:
+        placed += [f"rlines{k} = lines0",
+                   f"rline{k} = line0",
+                   f"rindex{k} = index0",
+                   f"rstate{k} = state0"]
     out = [f"index{j} = {'sblock' if sharded else 'block'} % nsets{j}",
            f"state{j} = sets{j}[index{j}]",
            f"lines{j} = state{j}.lines",
            f"if block in lines{j}:",
-           f"    line{j} = lines{j}.index(block)",
-           f"    hits{j} += 1",
-           f"    ps = state{j}.policy_state",
-           "    try:",
-           f"        row = hrows{j}[ps]",
-           "    except KeyError:",
-           f"        row = hrow{j}(ps)",
-           f"    after = row[line{j}]",
-           "    if after is None:",
-           f"        after = row[line{j}] = onhit{j}(ps, assoc{j}, line{j})",
-           f"    state{j}.policy_state = after"]
+           f"    line{j} = lines{j}.index(block)"]
+    out += _indent(_hit_source(j, f"state{j}", f"line{j}"))
     if not allocate:
-        out += _indent(store)
+        out += _indent(placed)
     out += ["else:",
             f"    misses{j} += 1"]
     if j + 1 < len(allocates):
@@ -428,8 +458,31 @@ def _level_source(j: int, k: int, is_write: bool, symbolic: bool,
             "    except KeyError:",
             f"        line{j}, state{j}.policy_state = eentry{j}(ps)",
             f"lines{j}[line{j}] = block"])
-        out += store
+        out += placed
     return out
+
+
+def _hit_source(j: int, state: str, line: str) -> List[str]:
+    """Source of a hit in way ``line`` of set ``state`` of level ``j``."""
+    return [f"hits{j} += 1",
+            f"ps = {state}.policy_state",
+            "try:",
+            f"    row = hrows{j}[ps]",
+            "except KeyError:",
+            f"    row = hrow{j}(ps)",
+            f"after = row[{line}]",
+            "if after is None:",
+            f"    after = row[{line}] = onhit{j}(ps, assoc{j}, {line})",
+            f"{state}.policy_state = after"]
+
+
+def _store_source(k: int, state: str, line: str,
+                  symbolic: bool) -> List[str]:
+    """Source storing access ``k``'s symbol in way ``line`` of set
+    ``state`` (nothing on a concrete target)."""
+    return [f"{state}.stale = True",
+            f"{state}.syms[{line}] = e{k}",
+            f"{state}.points[{line}] = point"] if symbolic else []
 
 
 def _indent(lines: List[str], levels: int = 1) -> List[str]:

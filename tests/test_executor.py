@@ -414,6 +414,66 @@ def test_inlined_outer_levels_equal_per_access_hierarchy(
     assert _state(target) == _state(reference)
 
 
+# -- remembered ways --------------------------------------------------------------
+
+class _CountedSets(list):
+    """A cache's list of sets that counts lookups by index."""
+
+    lookups = 0
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("kind", ["concrete", "symbolic"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_remembered_way_is_checked_against_the_block(kind, depth):
+    """In a single 2-way set, two sweeping reads evict the first read's
+    block every iteration, and it comes back into the other way: its
+    remembered way then holds another block, so each of its accesses
+    misses, as the per-access reference says."""
+    scop = _leaf_scop([(0, 200, None, False), (2, 300, None, False),
+                       (2, 1000, None, True)], 0, 12, 1)
+    loop = scop.roots[0]
+    config = CacheConfig(32, 2, 16, "lru", name="L1")
+    if depth == 2:
+        config = HierarchyConfig(config, L2)
+    if kind == "concrete":
+        target, reference = ((CacheHierarchy(config), CacheHierarchy(config))
+                             if depth == 2 else (Cache(config), Cache(config)))
+
+        def reference_access(block, node, point):
+            reference.access(block, node.is_write)
+    else:
+        target, reference = (
+            (SymbolicHierarchy(config), SymbolicHierarchy(config))
+            if depth == 2 else (SymbolicCache(config), SymbolicCache(config)))
+
+        def reference_access(block, node, point):
+            reference.access(block, node.is_write, (node, point))
+    executor = LeafExecutor(target)
+    executor.run(loop, (), 0, 11)
+    _reference(loop, (), 16, 1, 0, reference_access)
+    assert _state(target) == _state(reference)
+    assert _caches(target)[0].misses == 36  # every access misses
+
+
+@pytest.mark.parametrize("kind", ["concrete", "symbolic"])
+def test_a_remembered_way_skips_the_set_lookup(kind):
+    """A read of 8-byte elements in 16-byte blocks meets each block
+    twice in a row: the first access misses and looks its set up, the
+    second hits in the way the block took and looks nothing up."""
+    scop = _leaf_scop([(1, 200, None, False)], 0, 40, 1)
+    loop = scop.roots[0]
+    config = CacheConfig(256, 2, 16, "lru")
+    target = Cache(config) if kind == "concrete" else SymbolicCache(config)
+    target.sets = sets = _CountedSets(target.sets)
+    LeafExecutor(target).run(loop, (), 0, 39)
+    assert (target.hits, target.misses) == (20, 20)
+    assert sets.lookups == 20
+
+
 # -- compiled drains --------------------------------------------------------------
 
 def _shaped_scop(name, array):
@@ -509,7 +569,8 @@ _GENERATED_NAME = re.compile(
     r"accesses|_tracer|add_time|_span|sets|hits|misses|mru_set|lines|"
     r"policy_state|stale|syms|points|index|"
     r"([neqkdao]|cache|nsets|assoc|hrows|hrow|onhit|evict|eentry|amiss|"
-    r"sets|hits|misses|index|state|lines|line)\d+")
+    r"sets|hits|misses|index|state|lines|line|rlines|rline|rindex|rstate)"
+    r"\d+")
 
 
 def test_generated_source_holds_only_generator_names():
