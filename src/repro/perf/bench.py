@@ -40,6 +40,7 @@ from typing import Dict, List, Optional
 
 from repro import obs
 from repro.cache.cache import Cache
+from repro.cache.config import CacheConfig
 from repro.obs.profile import phases_payload
 from repro.perf.schema import SCHEMA_NAME, validate_bench
 from repro.perf.sharding import shard_simulate
@@ -164,9 +165,11 @@ def _lp_scenario(repeat: int) -> Dict[str, object]:
     from repro.polybench import build_kernel
     from repro.simulation import simulate_warping
 
-    kernel = "lu"  # asks ILP questions at SCALED_L
-    size = SCALED_L[kernel]
-    config = scaled_l1()
+    # Asks ILP questions (30 solves cold): loops whose coupled guards
+    # rule out every warp take no keys, so no kernel asks any at
+    # SCALED_L on the scaled L1.
+    kernel, size = "floyd-warshall", "MINI"
+    config = CacheConfig(512, 2, 32, "lru")
     with obs.collect() as cold:
         scop = build_kernel(kernel, size)
         _, cold_s = _timed(lambda: simulate_warping(scop, config), repeat,

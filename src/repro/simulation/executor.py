@@ -19,7 +19,8 @@ place that performs them:
 Every drain runs generated code.  A body's *shape* is what the code
 depends on besides data: per access whether it is guarded and whether it
 writes, whether the loop checks its domain per iteration, whether the
-target is symbolic and sharded, and how the target is updated (below).
+drain stores symbols, whether the target is sharded, and how the target
+is updated (below).
 :func:`drain_source` writes the drain of a shape as one Python function
 whose loop is unrolled into one straight-line block per access, with
 every flag folded in as a constant, and :func:`compiled_drain` compiles
@@ -63,14 +64,20 @@ a concrete :class:`~repro.cache.cache.Cache` whose sets also keep each
 way's symbol, so both share the set layout the inlined update relies
 on: ``lines`` (the block in each way) and ``policy_state``.  On a
 symbolic cache the update of every inlined level also stores the
-access's symbol in the way without allocating: the node's drain entry, a
-tuple built once per plan whose first field is the access node, goes
+access's symbol in the way without allocating: the access node goes
 into the set's ``syms`` list and the iteration's point tuple, built once
 per iteration and shared by its accesses, into the parallel ``points``
 list, and the set is marked ``stale``: changed since its last snapshot
 (the next state key copies it).  Targets that are not inlined receive a
 ``(node, point)`` pair.  On either kind the update records each level's
 most recently used set.
+
+A symbolic target also has concrete drains: the drains of the same
+bodies with the symbol stores left out, as on a concrete cache (a
+hooked target then receives no symbol).  The warping engine switches to
+them while no loop execution on its path detects matches
+(:meth:`LeafExecutor.store_symbols`), so the switch costs nothing per
+drain; plain symbolic simulation never does.
 
 Profiling costs O(loop executions), not O(accesses): under an active
 tracer every call is timed as one window, ``sym.access`` on symbolic
@@ -103,9 +110,10 @@ from repro.simulation.symbolic import SymbolicCache
 Body = Tuple[object, ...]
 
 #: What a drain's code depends on: per access ``(guarded?, is_write)``,
-#: whether the loop checks its domain per iteration, whether the target
-#: is symbolic and sharded, and the write-allocate flag of every inlined
-#: level, innermost first (None: one ``target.access`` call per access).
+#: whether the loop checks its domain per iteration, whether the drain
+#: stores symbols, whether the target is sharded, and the write-allocate
+#: flag of every inlined level, innermost first (None: one
+#: ``target.access`` call per access).
 Shape = Tuple[Tuple[Tuple[bool, bool], ...], bool, bool, bool,
               Optional[Tuple[bool, ...]]]
 
@@ -153,8 +161,9 @@ class LeafExecutor:
     """
 
     __slots__ = ("levels", "symbolic", "block_size", "modulus", "residue",
-                 "accesses", "_access", "_inline", "_target_shape",
-                 "_bodies", "_plans", "_tracer", "_span")
+                 "accesses", "storing", "_access", "_inline",
+                 "_target_shape", "_bodies", "_plans", "_spare_plans",
+                 "_tracer", "_span")
 
     def __init__(self, target):
         levels = self.levels = ((target,) if isinstance(target, Cache)
@@ -193,12 +202,17 @@ class LeafExecutor:
             allocates = tuple(
                 level.config.write_policy is WritePolicy.WRITE_ALLOCATE
                 for level in levels)
+        #: Whether the drains store symbols: on a symbolic target until
+        #: :meth:`store_symbols` switches them off.
+        self.storing = self.symbolic
         #: The target's part of every drain shape.
-        self._target_shape = (self.symbolic, self.modulus != 1, allocates)
+        self._target_shape = (self.storing, self.modulus != 1, allocates)
         self._bodies: Dict[int, Tuple[Body, bool]] = {}
         #: Drain plans by loop node (a loop drain) or run of access nodes
-        #: (a drain at one point).
+        #: (a drain at one point), for the drains that run now, and on a
+        #: symbolic target those of the other mode (:meth:`store_symbols`).
         self._plans: Dict[object, tuple] = {}
+        self._spare_plans: Dict[object, tuple] = {}
         self._tracer = obs.current()
         self._span = "sym.access" if self.symbolic else "tree.access"
 
@@ -220,11 +234,36 @@ class LeafExecutor:
             cached = self._bodies[id(loop)] = (tuple(body), leaf)
         return cached
 
+    def store_symbols(self, storing: bool) -> None:
+        """Switch a symbolic target's drains to the ones that store each
+        access's symbol (``storing``) or to the concrete ones, which
+        update only the levels' ``lines``, ``policy_state``, counters and
+        ``mru_set``.  The symbols of the ways a concrete drain fills or
+        refreshes are left stale; the caller re-symbolises them
+        (:meth:`~repro.simulation.symbolic.SymbolicCache.resymbolise`)
+        before it reads them."""
+        if storing != self.storing:
+            self.storing = storing
+            self._target_shape = (storing,) + self._target_shape[1:]
+            self._plans, self._spare_plans = self._spare_plans, self._plans
+
     def prepare(self, roots: Sequence[object]) -> None:
         """Plan every body of the SCoP trees ``roots``, compiling the
-        drains of the shapes this process has not compiled yet.  The
-        engines call it before they start timing, so a run's time does
-        not depend on which shapes earlier runs of the process compiled."""
+        drains of the shapes this process has not compiled yet; on a
+        symbolic target whose symbol stores are off (the warping
+        engine's, which switches them back on), also the drains that
+        store symbols.  The engines call it before they start timing, so
+        a run's time does not depend on which shapes earlier runs of the
+        process compiled."""
+        self._plan_all(roots)
+        if self.symbolic and not self.storing:
+            self.store_symbols(True)
+            self._plan_all(roots)
+            self.store_symbols(False)
+
+    def _plan_all(self, roots: Sequence[object]) -> None:
+        """Plan every body of the SCoP trees ``roots`` for the drains
+        that run now."""
         stack = list(roots)
         while stack:
             node = stack.pop()
@@ -270,9 +309,9 @@ class LeafExecutor:
     def _plan(self, body) -> tuple:
         """The drain plan of ``body`` (see :meth:`_drain`): its compiled
         drain, the loop's stride and domain check (None: none), then per
-        access node the node, its drain entry ``(node,)``, its address at
-        the origin, its coefficient vector and its address step per
-        iteration (0 for a drain at one point)."""
+        access node the node, its address at the origin, its coefficient
+        vector and its address step per iteration (0 for a drain at one
+        point)."""
         if body.__class__ is tuple:
             nodes, stride, in_domain, own = body, 1, None, None
         else:
@@ -287,8 +326,8 @@ class LeafExecutor:
             stride, in_domain]
         for node in nodes:
             coeffs = node.coeff_vector()
-            plan += (node, (node,), node.addr_at((0,) * len(coeffs)),
-                     coeffs, 0 if own is None else coeffs[own] * stride)
+            plan += (node, node.addr_at((0,) * len(coeffs)), coeffs,
+                     0 if own is None else coeffs[own] * stride)
         plan = self._plans[body] = tuple(plan)
         return plan
 
@@ -312,14 +351,14 @@ def drain_source(shape: Shape) -> str:
     """Python source of the drain ``drain(ex, start, plan, point, value,
     hi)`` for bodies of ``shape`` (see :meth:`LeafExecutor._drain`).
 
-    Access ``k`` of the plan binds ``n{k}`` (node), ``e{k}`` (drain
-    entry), ``k{k}`` (address at the origin), ``q{k}`` (coefficients) and
-    ``d{k}`` (step); ``a{k}`` is its address at the current iteration.
+    Access ``k`` of the plan binds ``n{k}`` (node), ``k{k}`` (address at
+    the origin), ``q{k}`` (coefficients) and ``d{k}`` (step); ``a{k}`` is
+    its address at the current iteration.
     """
-    accesses, loop_check, symbolic, sharded, allocates = shape
-    need_point = (symbolic or loop_check
+    accesses, loop_check, stores, sharded, allocates = shape
+    need_point = (stores or loop_check
                   or any(guarded for guarded, _ in accesses))
-    fields = "".join(f", n{k}, e{k}, k{k}, q{k}, d{k}"
+    fields = "".join(f", n{k}, k{k}, q{k}, d{k}"
                      for k in range(len(accesses)))
     out = ["def drain(ex, start, plan, point, value, hi):",
            f"    _, stride, in_domain{fields} = plan",
@@ -360,10 +399,10 @@ def drain_source(shape: Shape) -> str:
     for k, (guarded, is_write) in enumerate(accesses):
         if allocates is None:
             update = ["count += 1",
-                      f"access(block, {is_write}, (n{k}, point))" if symbolic
+                      f"access(block, {is_write}, (n{k}, point))" if stores
                       else f"access(block, {is_write})"]
         else:
-            update = _remembered_source(k, is_write, symbolic, sharded,
+            update = _remembered_source(k, is_write, stores, sharded,
                                         allocates)
         if sharded:
             step = [f"if o{k}:",
@@ -404,7 +443,7 @@ def drain_source(shape: Shape) -> str:
     return "\n".join(out)
 
 
-def _remembered_source(k: int, is_write: bool, symbolic: bool,
+def _remembered_source(k: int, is_write: bool, stores: bool,
                        sharded: bool,
                        allocates: Tuple[bool, ...]) -> List[str]:
     """Source of access ``k``'s update of the inlined levels: a hit in the
@@ -414,13 +453,13 @@ def _remembered_source(k: int, is_write: bool, symbolic: bool,
     return ([f"if rlines{k}[rline{k}] == block:",
              f"    index0 = rindex{k}"]
             + _indent(_hit_source(0, f"rstate{k}", f"rline{k}")
-                      + _store_source(k, f"rstate{k}", f"rline{k}", symbolic))
+                      + _store_source(k, f"rstate{k}", f"rline{k}", stores))
             + ["else:"]
-            + _indent(_level_source(0, k, is_write, symbolic, sharded,
+            + _indent(_level_source(0, k, is_write, stores, sharded,
                                     allocates)))
 
 
-def _level_source(j: int, k: int, is_write: bool, symbolic: bool,
+def _level_source(j: int, k: int, is_write: bool, stores: bool,
                   sharded: bool, allocates: Tuple[bool, ...]) -> List[str]:
     """Source of access ``k``'s update of inlined level ``j``; its miss
     branch holds the update of level ``j + 1`` (the NINE descent).  At
@@ -428,7 +467,7 @@ def _level_source(j: int, k: int, is_write: bool, symbolic: bool,
     allocate = not is_write or allocates[j]
     # What follows a hit, or a fill: the symbol store and, at level 0,
     # the remembered way.
-    placed = _store_source(k, f"state{j}", f"line{j}", symbolic)
+    placed = _store_source(k, f"state{j}", f"line{j}", stores)
     if j == 0:
         placed += [f"rlines{k} = lines0",
                    f"rline{k} = line0",
@@ -445,7 +484,7 @@ def _level_source(j: int, k: int, is_write: bool, symbolic: bool,
     out += ["else:",
             f"    misses{j} += 1"]
     if j + 1 < len(allocates):
-        out += _indent(_level_source(j + 1, k, is_write, symbolic, sharded,
+        out += _indent(_level_source(j + 1, k, is_write, stores, sharded,
                                      allocates))
     if allocate:
         out += _indent([
@@ -477,12 +516,12 @@ def _hit_source(j: int, state: str, line: str) -> List[str]:
 
 
 def _store_source(k: int, state: str, line: str,
-                  symbolic: bool) -> List[str]:
+                  stores: bool) -> List[str]:
     """Source storing access ``k``'s symbol in way ``line`` of set
-    ``state`` (nothing on a concrete target)."""
+    ``state`` (nothing in a concrete drain)."""
     return [f"{state}.stale = True",
-            f"{state}.syms[{line}] = e{k}",
-            f"{state}.points[{line}] = point"] if symbolic else []
+            f"{state}.syms[{line}] = n{k}",
+            f"{state}.points[{line}] = point"] if stores else []
 
 
 def _indent(lines: List[str], levels: int = 1) -> List[str]:

@@ -12,6 +12,10 @@ concretisation function gamma of the paper:
 Storing *absolute* points makes iterator advancement free (the paper's
 "determine the updated symbolic cache state only on demand", footnote 2):
 relative offsets are only materialised when a loop node hashes the state.
+The warping engine goes one step further and stores no symbols at all
+while no loop execution on its path detects matches; when one starts
+again, every filled way gets the symbol of a :class:`ConstantBlock`, a
+pseudo access node that denotes its block at every iteration.
 
 The symbolic cache *is* the concrete cache (appendix A.3's constructive
 ``SymUpCache``: a concrete update followed by re-symbolisation).
@@ -29,7 +33,7 @@ concrete hierarchy's own.
 from __future__ import annotations
 
 from operator import add
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.cache.cache import Cache, CacheSetState
@@ -49,19 +53,17 @@ class SymbolicSetState(CacheSetState):
     :class:`~repro.cache.cache.CacheSetState`.  Way ``l``'s symbol, the
     symbol of the access that last filled or refreshed it, is split over
     two parallel lists so that storing it allocates nothing:
-    ``syms[l]`` is a tuple whose first field is the access node (the
-    ``(node, point)`` pair an access passed in, or the executor's drain
-    entry for that node) and ``points[l]`` is the iteration point.
-    :meth:`symbol` reassembles the pair.  ``stale`` means the set changed
-    since its last :meth:`snapshot` (a new or cloned set has none yet):
-    every update sets it.
+    ``syms[l]`` is the access node and ``points[l]`` the iteration
+    point.  :meth:`symbol` reassembles the ``(node, point)`` pair.
+    ``stale`` means the set changed since its last :meth:`snapshot` (a
+    new or cloned set has none yet): every update sets it.
     """
 
     __slots__ = ("syms", "points", "stale", "_snapshot")
 
     def __init__(self, assoc: int, policy: ReplacementPolicy):
         super().__init__(assoc, policy)
-        self.syms: List[Optional[tuple]] = [None] * assoc
+        self.syms: List[Optional[AccessNode]] = [None] * assoc
         self.points: List[Optional[Tuple[int, ...]]] = [None] * assoc
         self.stale = True
         self._snapshot: Optional[Snapshot] = None
@@ -75,8 +77,10 @@ class SymbolicSetState(CacheSetState):
         hit, line = CacheSetState.access(self, policy, block, allocate)
         if line is not None:
             self.stale = True
-            self.syms[line] = sym
-            self.points[line] = None if sym is None else sym[1]
+            if sym is None:
+                self.syms[line] = self.points[line] = None
+            else:
+                self.syms[line], self.points[line] = sym
         return hit, line
 
     def empty(self, line: int) -> None:
@@ -88,15 +92,17 @@ class SymbolicSetState(CacheSetState):
     def symbol(self, line: int) -> Optional[SymBlock]:
         """The ``(node, point)`` symbol of way ``line``, or None when the
         way is empty."""
-        entry = self.syms[line]
-        return None if entry is None else (entry[0], self.points[line])
+        node = self.syms[line]
+        return None if node is None else (node, self.points[line])
 
     def snapshot(self) -> "Snapshot":
         """The set's content as an immutable :data:`Snapshot`: taken
         afresh when the set is stale, the last one otherwise."""
         if self.stale:
-            self._snapshot = (self.policy_state, tuple(self.syms),
-                              tuple(self.points), {})
+            policy_state = self.policy_state
+            syms = tuple(self.syms)
+            self._snapshot = (policy_state, syms, tuple(self.points), {},
+                              hash((policy_state, syms)))
             self.stale = False
         return self._snapshot
 
@@ -112,10 +118,40 @@ class SymbolicSetState(CacheSetState):
         return copy
 
 
-#: A set's content at one moment: ``(policy state, syms, points, parts)``
-#: with ``syms`` and ``points`` frozen into tuples.  ``parts`` memoises
-#: the snapshot's canonical part per loop depth (:func:`exact_key`).
-Snapshot = Tuple[object, tuple, tuple, dict]
+#: A set's content at one moment: ``(policy state, syms, points, parts,
+#: hash)`` with ``syms`` and ``points`` frozen into tuples.  ``parts``
+#: memoises the snapshot's canonical part per loop depth
+#: (:func:`exact_key`) and ``hash`` is ``hash((policy state, syms))``
+#: (:func:`fingerprint`).
+Snapshot = Tuple[object, tuple, tuple, dict, int]
+
+
+class ConstantBlock:
+    """A pseudo access node that denotes one memory block at every
+    iteration: no dimensions, no coefficients.
+
+    The warping engine gives every filled way such a symbol when a loop
+    execution starts detecting matches after accesses that stored none
+    (:meth:`SymbolicCache.resymbolise`).  The readers of symbols treat it
+    like the node of an access outside the loop: its block shift is 0,
+    a key keeps it by identity, and a warp leaves it in place.
+    """
+
+    __slots__ = ("block",)
+
+    dims: Tuple[str, ...] = ()
+
+    def __init__(self, block: int):
+        self.block = block
+
+    def coeff_vector(self) -> Tuple[int, ...]:
+        return ()
+
+    def block_at(self, point: Tuple[int, ...], block_size: int) -> int:
+        return self.block
+
+    def __repr__(self) -> str:
+        return f"ConstantBlock({self.block})"
 
 
 def _set_part(snapshot: Snapshot, depth: int) -> Tuple[Tuple, Optional[int]]:
@@ -133,7 +169,7 @@ def _set_part(snapshot: Snapshot, depth: int) -> Tuple[Tuple, Optional[int]]:
     A node's points all have one length, so the flat tuple still
     determines every way.
     """
-    policy_state, syms, points, _ = snapshot
+    policy_state, syms, points, _, _ = snapshot
     own_index = depth - 1
     flat = [policy_state]
     try:
@@ -143,32 +179,34 @@ def _set_part(snapshot: Snapshot, depth: int) -> Tuple[Tuple, Optional[int]]:
         owns = [point[own_index] for point in points
                 if point is not None and len(point) > own_index]
         max_own = max(owns) if owns else None
-        for entry, point in zip(syms, points):
-            if entry is None:
+        for node, point in zip(syms, points):
+            if node is None:
                 flat.append(None)
                 continue
-            flat.append(entry[0])
+            flat.append(node)
             flat += point
             if len(point) > own_index:
                 flat[own_index - len(point)] -= max_own
     else:
         # Every way holds a symbol with an own coordinate.
         max_own = max(owns)
-        for entry, point in zip(syms, points):
-            flat.append(entry[0])
+        for node, point in zip(syms, points):
+            flat.append(node)
             flat += point
             flat[own_index - len(point)] -= max_own
     return tuple(flat), max_own
 
 
 def fingerprint(snapshots: Sequence[Snapshot]) -> Tuple:
-    """The policy states of the sets ``snapshots``, in order.
+    """The hashes of the sets ``snapshots``' policy states and nodes, in
+    order.
 
     Every set's part of the :func:`exact_key` begins with its policy
-    state, so the fingerprint is a projection of the exact key: two
-    states with equal keys have equal fingerprints.
+    state and holds each way's node (or None) in way order, so the
+    fingerprint is a projection of the exact key: two states with equal
+    keys have equal fingerprints.
     """
-    return tuple([snapshot[0] for snapshot in snapshots])
+    return tuple([snapshot[4] for snapshot in snapshots])
 
 
 def exact_key(snapshots: Sequence[Snapshot], depth: int, own: int) -> Tuple:
@@ -227,6 +265,25 @@ class SymbolicCache(Cache):
         ``current`` of the loop at ``depth``."""
         return exact_key(self.snapshots(), depth, current[depth - 1])
 
+    def resymbolise(self, constants: Dict[int, ConstantBlock]) -> None:
+        """Give every filled way the :class:`ConstantBlock` symbol of its
+        block, from ``constants`` (one node per block, added on first
+        use): the symbols of a cache that was updated without storing
+        any."""
+        for set_state in self.sets:
+            syms = set_state.syms
+            points = set_state.points
+            for line, block in enumerate(set_state.lines):
+                if block is None:
+                    syms[line] = points[line] = None
+                    continue
+                node = constants.get(block)
+                if node is None:
+                    node = constants[block] = ConstantBlock(block)
+                syms[line] = node
+                points[line] = ()
+            set_state.stale = True
+
     # -- warping -----------------------------------------------------------------------
 
     def apply_rotation(self, rotation: int, delta: Tuple[int, ...],
@@ -254,10 +311,9 @@ class SymbolicCache(Cache):
             moved = set_state.clone()
             points = moved.points
             lines = moved.lines
-            for line, entry in enumerate(moved.syms):
-                if entry is None:
+            for line, node in enumerate(moved.syms):
+                if node is None:
                     continue
-                node = entry[0]
                 point = points[line]
                 key = id(node)
                 blocks = shift_blocks_cache.get(key)
@@ -298,16 +354,16 @@ class SymbolicCache(Cache):
         contents: List[List[Optional[int]]] = []
         for set_state in self.sets:
             row: List[Optional[int]] = []
-            for entry, point in zip(set_state.syms, set_state.points):
-                if entry is None:
+            for node, point in zip(set_state.syms, set_state.points):
+                if node is None:
                     row.append(None)
                 else:
                     shifted = tuple(
                         at_point[k] if k < depth else value
                         for k, value in enumerate(point)
                     )
-                    row.append(entry[0].block_at(shifted,
-                                                 self.config.block_size))
+                    row.append(node.block_at(shifted,
+                                             self.config.block_size))
             contents.append(row)
         return contents
 

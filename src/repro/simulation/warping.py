@@ -26,7 +26,13 @@ Design notes relative to the paper:
   delta is a multiple of (``_LoopPlan.period``), so keys are taken only
   every period, up to the last iteration a warp can still follow, and
   executions shorter than two periods skip match detection
-  (``warp.skipped_executions``).  Each rejected attempt is counted by
+  (``warp.skipped_executions``), as do the executions of loops whose
+  coupled guards rule out every warp (``warp.unwarpable_executions``).
+  Symbols are stored only while an execution on the current path
+  detects matches; the first one to start after accesses that stored
+  none gives every filled way a constant-block symbol
+  (:class:`~repro.simulation.symbolic.ConstantBlock`).  Each rejected
+  attempt is counted by
   reason: ``warp.reject.short_tail``, ``.align``, ``.rotation``,
   ``.entry_shift``, ``.domains``, ``.overlap`` or ``.cache_agrees``.
 * ``FurthestByOverlap``/``FurthestByDomains`` reduce to exact ILP queries
@@ -52,6 +58,7 @@ from repro.polyhedral.model import AccessNode, LoopNode, Scop
 from repro.simulation.executor import LeafExecutor, collector_paused
 from repro.simulation.result import SimulationResult
 from repro.simulation.symbolic import (
+    ConstantBlock,
     SymbolicCache,
     SymbolicHierarchy,
     exact_key,
@@ -126,7 +133,8 @@ class _WarpingRunner:
     #: sibling executions behave alike, so a few executions without a
     #: warp are a reliable predictor.  A match that no attempt turns into
     #: a warp does not reset the count.  Executions too short to warp
-    #: (see ``_LoopPlan.period``) skip match detection and do not count.
+    #: (see ``_LoopPlan.period``) or of loops that cannot warp
+    #: (``_LoopPlan.unwarpable``) skip match detection and do not count.
     #: Sound: skipping match detection never changes simulation results,
     #: only speed.
     max_matchless_executions = 3
@@ -177,6 +185,15 @@ class _WarpingRunner:
         self._pair_disjoint: Dict[Tuple[int, int], bool] = {}
         # Per-loop-node count of executions in a row that did not warp.
         self._matchless_runs: Dict[int, int] = {}
+        # Symbols are stored only while an execution on the current path
+        # detects matches: how many do, the executor's access count when
+        # the last one stopped, and the constant-block symbols given to
+        # the ways filled since (_detection_starts).
+        self._detecting = 0
+        self._stores_stopped_at = 0
+        self._constants: Dict[int, ConstantBlock] = {}
+        if self.enable_warping:
+            self.executor.store_symbols(False)
 
     @property
     def accesses(self) -> int:
@@ -207,15 +224,21 @@ class _WarpingRunner:
         matching = (self.enable_warping and loop._bounds_exact
                     and matchless < self.max_matchless_executions)
         if matching:
+            plan = self._plan(loop)
             # Every delta a warp admits is a multiple of the loop's
             # period, and a warp from i0 >= lo at i1 = i0 + delta needs
             # i1 + delta <= hi + stride.  So keys are taken only at the
             # iterations a whole number of periods after lo, up to
             # last_key, and an execution with no two such keys cannot
             # warp at all.
-            period = self._plan(loop).period
+            period = plan.period
             last_key = hi + stride - period
-            if last_key - lo < period:
+            if plan.unwarpable:
+                # No warp can follow any key.  Neither matchless nor
+                # skipped: the cut-off below ignores it.
+                obs.count("warp.unwarpable_executions")
+                matching = False
+            elif last_key - lo < period:
                 # Skipped, not matchless: the cut-off below ignores it.
                 obs.count("warp.skipped_executions")
                 matching = False
@@ -225,6 +248,8 @@ class _WarpingRunner:
             executor.run(loop, prefix, lo, hi)
             return
         detecting = matching
+        if detecting:
+            self._detection_starts()
         depth = loop.depth
         levels = self.levels
         single = levels[0] if len(levels) == 1 else None
@@ -240,6 +265,7 @@ class _WarpingRunner:
         while value <= hi:
             if matching and value > last_key:
                 matching = False  # no warp can start or end from here on
+                self._detection_stops()
             if leaf and not matching:
                 # Match detection is over for this execution (the last
                 # key or the fail streak): drain the rest.
@@ -308,6 +334,7 @@ class _WarpingRunner:
                                     # (sound: warping is an
                                     # acceleration, never required).
                                     matching = False
+                                    self._detection_stops()
             if not warped:
                 if leaf:
                     # An innermost loop drains up to its next key (it
@@ -321,9 +348,35 @@ class _WarpingRunner:
                     else:
                         self.run_loop(child, point)
                 value += stride
+        if matching:
+            self._detection_stops()
         if detecting:
             self._matchless_runs[id(loop)] = (
                 0 if had_warp else matchless + 1)
+
+    def _detection_starts(self) -> None:
+        """A loop execution starts detecting matches.  If none on the
+        path did, the drains store symbols again, and if any access ran
+        without storing one, every filled way of every level gets its
+        block's constant-block symbol (the symbols of the ways it filled
+        or refreshed are stale)."""
+        if self._detecting == 0:
+            executor = self.executor
+            executor.store_symbols(True)
+            if executor.accesses != self._stores_stopped_at:
+                obs.count("sym.resymbolisations")
+                for level in self.levels:
+                    level.resymbolise(self._constants)
+        self._detecting += 1
+
+    def _detection_stops(self) -> None:
+        """A loop execution stops detecting matches.  If it was the last
+        one on the path, no key reads the symbols until the next one
+        starts, so the drains stop storing them."""
+        self._detecting -= 1
+        if self._detecting == 0:
+            self.executor.store_symbols(False)
+            self._stores_stopped_at = self.executor.accesses
 
     # -- warping --------------------------------------------------------------------
 
@@ -389,9 +442,9 @@ class _WarpingRunner:
         # nodes may come from outside this loop).
         point_i1 = prefix + (i1,)
         point_i0 = prefix + (i0,)
-        cached_nodes = {entry[0] for level in self.levels
+        cached_nodes = {node for level in self.levels
                         for set_state in level.sets
-                        for entry in set_state.syms if entry is not None}
+                        for node in set_state.syms if node is not None}
         entry_shifts: Dict[int, int] = {}
         for node in cached_nodes:
             if id(node) in shifts:
@@ -743,10 +796,10 @@ class _WarpingRunner:
                     return False
             for set_state in level.sets:
                 lines = set_state.lines
-                for line, entry in enumerate(set_state.syms):
-                    if entry is None:
+                for line, node in enumerate(set_state.syms):
+                    if node is None:
                         continue
-                    entry_shift = entry_shifts[id(entry[0])]
+                    entry_shift = entry_shifts[id(node)]
                     # The entry's own movement must respect the rotation.
                     if (entry_shift // modulus) % num_sets != rotation:
                         return False
@@ -872,7 +925,10 @@ class _LoopPlan:
     ``guarded`` lists ``(node, shape)`` for the nodes whose guards can cut
     a warp short (FurthestByDomains: every shape but "free"), and
     ``pairs`` the node pairs that shift differently and may share blocks
-    (FurthestByOverlap), both in program order.
+    (FurthestByOverlap), both in program order.  ``unwarpable`` holds
+    when a guarded node is "coupled": FurthestByDomains then rejects
+    every attempt at its first candidate iteration, so no warp can
+    follow a key at this loop.
 
     ``period`` divides every delta that passes checks (a) and (b) of
     :meth:`_WarpingRunner._try_warp`: the lcm of the loop's stride and,
@@ -883,7 +939,8 @@ class _LoopPlan:
     ``S`` the lcm of the levels' set counts.
     """
 
-    __slots__ = ("nodes", "coeffs", "guarded", "pairs", "period")
+    __slots__ = ("nodes", "coeffs", "guarded", "pairs", "unwarpable",
+                 "period")
 
     def __init__(self, runner: _WarpingRunner, loop: LoopNode):
         own_index = loop.depth - 1
@@ -896,6 +953,8 @@ class _LoopPlan:
                   for node in self.nodes]
         self.guarded = tuple((node, shape) for node, shape in shapes
                              if shape != "free")
+        self.unwarpable = any(shape == "coupled"
+                              for _, shape in self.guarded)
         pairs = []
         for ia, (node_a, coeff_a) in enumerate(zip(self.nodes,
                                                    self.coeffs)):

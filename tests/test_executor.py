@@ -29,11 +29,12 @@ from repro.isl.affine import LinExpr
 from repro.isl.sets import BasicSet
 from repro.polybench import all_kernel_names, build_kernel
 from repro.polyhedral import ScopBuilder
-from repro.polyhedral.model import LoopNode
+from repro.polyhedral.model import AccessNode, LoopNode
 from repro.simulation import simulate_nonwarping, simulate_warping
 from repro.simulation import executor as executor_module
 from repro.simulation.executor import LeafExecutor, collector_paused
 from repro.simulation.symbolic import SymbolicCache, SymbolicHierarchy
+from repro.simulation.warping import _WarpingRunner
 
 L2 = CacheConfig(1024, 4, 16, "qlru", name="L2")
 
@@ -90,7 +91,7 @@ ACCESS = st.tuples(st.integers(-3, 3), st.integers(200, 400),
                    st.one_of(st.none(), st.integers(0, 40)), st.booleans())
 
 
-@pytest.mark.parametrize("kind", ["concrete", "symbolic"])
+@pytest.mark.parametrize("kind", ["concrete", "symbolic", "bare"])
 @pytest.mark.parametrize("depth", [1, 2])
 @settings(deadline=None, max_examples=40)
 @given(accesses=st.lists(ACCESS, min_size=1, max_size=3),
@@ -108,23 +109,30 @@ def test_run_equals_per_access_reference(kind, depth, accesses, lo, trips,
     if depth == 2:
         config = HierarchyConfig(config, L2)
     config = shard_target_config(config, *shard)
-    if kind == "concrete":
-        def make():
-            return (CacheHierarchy(config) if depth == 2
-                    else Cache(config))
+    def concrete():
+        return CacheHierarchy(config) if depth == 2 else Cache(config)
 
-        def reference_access(block, node, point):
-            reference.access(block, node.is_write)
-    else:
-        def make():
-            return (SymbolicHierarchy(config) if depth == 2
-                    else SymbolicCache(config))
+    def symbolic():
+        return (SymbolicHierarchy(config) if depth == 2
+                else SymbolicCache(config))
+
+    if kind == "symbolic":
+        target, reference = symbolic(), symbolic()
 
         def reference_access(block, node, point):
             reference.access(block, node.is_write, (node, point))
+    else:
+        # A symbolic target's concrete drains ("bare") store no symbol:
+        # every way's stays None, as on a concrete cache.
+        target = symbolic() if kind == "bare" else concrete()
+        reference = concrete()
 
-    target, reference = make(), make()
+        def reference_access(block, node, point):
+            reference.access(block, node.is_write)
+
     executor = LeafExecutor(target)
+    if kind == "bare":
+        executor.store_symbols(False)
     assert executor.body(loop)[1]  # an innermost loop
     bounds = loop.bounds_at(())
     if bounds is not None:
@@ -426,7 +434,7 @@ class _CountedSets(list):
         return super().__getitem__(index)
 
 
-@pytest.mark.parametrize("kind", ["concrete", "symbolic"])
+@pytest.mark.parametrize("kind", ["concrete", "symbolic", "bare"])
 @pytest.mark.parametrize("depth", [1, 2])
 def test_remembered_way_is_checked_against_the_block(kind, depth):
     """In a single 2-way set, two sweeping reads evict the first read's
@@ -560,6 +568,65 @@ def test_engines_plan_every_body_before_the_first_drain(kernel,
         assert "plan" not in events[first:]
 
 
+def test_prepare_plans_both_drains_of_a_symbolic_target():
+    """The warping engine's executor, whose symbol stores start off,
+    plans every body with and without them before its first drain, so
+    switching plans nothing; plain symbolic simulation's and a concrete
+    target's plan one kind of drain."""
+    scop = build_kernel("lu", "MINI")
+    config = HierarchyConfig(CacheConfig(512, 2, 32, "lru", name="L1"),
+                             CacheConfig(2048, 4, 32, "plru", name="L2"))
+    executor = LeafExecutor(SymbolicHierarchy(config))
+    executor.store_symbols(False)
+    executor.prepare(scop.roots)
+
+    def shapes(executor):
+        by_drain = {drain: shape
+                    for shape, drain in executor_module._DRAINS.items()}
+        return {body: by_drain[plan[0]]
+                for body, plan in executor._plans.items()}
+
+    bare = shapes(executor)
+    executor.store_symbols(True)
+    storing = shapes(executor)
+    assert storing.keys() == bare.keys() and len(bare) > 1
+    assert all(shape[2] for shape in storing.values())
+    assert not any(shape[2] for shape in bare.values())
+    for target in (SymbolicHierarchy(config), CacheHierarchy(config)):
+        single = LeafExecutor(target)
+        single.prepare(scop.roots)
+        assert single._plans.keys() == bare.keys()
+        assert not single._spare_plans
+
+
+@pytest.mark.parametrize("kernel", ["durbin", "lu", "trisolv"])
+def test_plain_symbolic_simulation_stores_every_symbol(kernel):
+    """``enable_warping=False`` never switches the symbol stores off,
+    also where the warping engine would (top-level accesses, and loops
+    whose coupled guards rule out every warp): every filled way of every
+    level holds the symbol of the access that put its block there."""
+    scop = build_kernel(kernel, "MINI")
+    config = HierarchyConfig(CacheConfig(512, 2, 32, "lru", name="L1"),
+                             CacheConfig(2048, 4, 32, "plru", name="L2"))
+    runner = _WarpingRunner(scop, SymbolicHierarchy(config),
+                            enable_warping=False)
+    runner.executor.prepare(scop.roots)
+    for root in scop.roots:
+        runner.run_node(root, ())
+    assert runner.executor.storing
+    filled = 0
+    for level in runner.levels:
+        for set_state in level.sets:
+            for way, block in enumerate(set_state.lines):
+                if block is None:
+                    continue
+                node, point = set_state.symbol(way)
+                assert isinstance(node, AccessNode)
+                assert node.block_at(point, 32) == block
+                filled += 1
+    assert filled
+
+
 #: Every name the generator may write: fixed words, and per access or
 #: level a fixed stem followed by the access or level number.
 _GENERATED_NAME = re.compile(
@@ -568,7 +635,7 @@ _GENERATED_NAME = re.compile(
     r"mul|map|sum|perf_counter|KeyError|_|block_size|_access|_inline|"
     r"accesses|_tracer|add_time|_span|sets|hits|misses|mru_set|lines|"
     r"policy_state|stale|syms|points|index|"
-    r"([neqkdao]|cache|nsets|assoc|hrows|hrow|onhit|evict|eentry|amiss|"
+    r"([nqkdao]|cache|nsets|assoc|hrows|hrow|onhit|evict|eentry|amiss|"
     r"sets|hits|misses|index|state|lines|line|rlines|rline|rindex|rstate)"
     r"\d+")
 

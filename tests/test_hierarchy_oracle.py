@@ -158,7 +158,9 @@ def assert_agree(oracle, hierarchy, symbolic):
                 assert got.lines == want.lines, (name, index)
                 assert got.policy_state == want.policy_state, (name, index)
         for index, want in enumerate(expected.sets):
-            assert sym_level.sets[index].syms == want.syms, (name, index)
+            got = sym_level.sets[index]
+            assert [got.symbol(way) for way in range(got.assoc)] == \
+                want.syms, (name, index)
 
 
 LEVEL = st.tuples(st.sampled_from(sorted(POLICIES)),

@@ -22,8 +22,10 @@ from repro.isl.sets import (
     clear_decision_cache,
     decision_cache_size,
 )
-from repro.polybench import build_kernel
+from repro.polybench import KERNELS, build_kernel
 from repro.simulation import simulate_warping
+
+import static_questions
 
 
 def x(name, coeff=1):
@@ -190,69 +192,84 @@ def _lookups(kernel, config):
             counters.get("ilp.solves", 0))
 
 
+@pytest.fixture
+def static_kernel(monkeypatch):
+    """Registers the kernel of ``tests/static_questions.py``."""
+    monkeypatch.setitem(KERNELS, static_questions.NAME,
+                        static_questions.SPEC)
+    return static_questions.NAME
+
+
 class TestReuse:
     """Where cross-run reuse happens: the warp analyses' set queries
     depend on the access pattern (domains, address expressions, block
-    size), not on cache capacity, associativity or policy, so a sweep
-    over those dimensions is answered from the decision cache after
-    its first point.  The executions that take state keys at all depend
-    on the set count too (the period rule), so the capacity sweep keeps
-    it fixed.  The kernels are ones whose MINI runs still ask."""
+    size) and on the iterations that match, not on cache capacity,
+    associativity or policy where the matches do not depend on them.
+    ``tests/static_questions.py``'s kernel is such a case, so a sweep
+    over those dimensions is answered from the decision cache after its
+    first point.  floyd-warshall's MINI runs ask questions too, but
+    which depends on the cache."""
 
-    @pytest.mark.parametrize("kernel", ["lu", "nussinov"])
-    def test_capacity_sweep_reuses_every_decision(self, kernel):
+    @pytest.mark.parametrize("policy", ["plru", "lru"])
+    def test_capacity_sweep_reuses_every_decision(self, static_kernel,
+                                                  policy):
         clear_decision_cache()
-        hits, misses, solves = _lookups(kernel,
-                                        CacheConfig(1024, 4, 32, "plru"))
+        hits, misses, solves = _lookups(static_kernel,
+                                        CacheConfig(1024, 4, 32, policy))
         assert misses > 0 and solves > 0
         for size, assoc in ((2048, 8), (4096, 16)):
-            config = CacheConfig(size, assoc, 32, "plru")
-            assert _lookups(kernel, config) == (hits + misses, 0, 0)
+            config = CacheConfig(size, assoc, 32, policy)
+            assert _lookups(static_kernel, config) == (hits + misses, 0, 0)
 
-    @pytest.mark.parametrize("kernel", ["lu", "nussinov",
-                                        "floyd-warshall"])
-    def test_rebuilt_scop_solves_no_ilp(self, kernel):
+    @pytest.mark.parametrize("kernel,config", [
+        (static_questions.NAME, CacheConfig(1024, 4, 32, "plru")),
+        ("floyd-warshall", CacheConfig(1024, 4, 32, "plru")),
+        ("floyd-warshall", CacheConfig(512, 2, 32, "lru")),
+    ])
+    def test_rebuilt_scop_solves_no_ilp(self, static_kernel, kernel,
+                                        config):
         """A fresh build of the same SCoP asks exactly the questions
         of the first run, and every one is answered from the cache."""
-        config = CacheConfig(1024, 4, 32, "plru")
         clear_decision_cache()
         hits, misses, solves = _lookups(kernel, config)
         assert misses > 0 and solves > 0
         assert _lookups(kernel, config) == (hits + misses, 0, 0)
 
-    def test_policy_and_associativity_changes_reuse_decisions(self):
+    def test_policy_and_associativity_changes_reuse_decisions(
+            self, static_kernel):
         clear_decision_cache()
-        hits, misses, _ = _lookups("lu", CacheConfig(1024, 4, 32, "plru"))
+        hits, misses, _ = _lookups(static_kernel,
+                                   CacheConfig(1024, 4, 32, "plru"))
         assert misses > 0
         for config in (CacheConfig(1024, 4, 32, "lru"),
                        CacheConfig(1024, 4, 32, "fifo"),
                        CacheConfig(1024, 8, 32, "plru")):
-            assert _lookups("lu", config) == (hits + misses, 0, 0)
+            assert _lookups(static_kernel, config) == (hits + misses, 0, 0)
 
-    def test_block_size_change_asks_new_questions(self):
+    def test_block_size_change_asks_new_questions(self, static_kernel):
         clear_decision_cache()
-        _lookups("nussinov", CacheConfig(1024, 4, 32, "plru"))
-        _, misses, solves = _lookups("nussinov",
+        _lookups(static_kernel, CacheConfig(1024, 4, 32, "plru"))
+        _, misses, solves = _lookups(static_kernel,
                                      CacheConfig(1024, 4, 64, "plru"))
         assert misses > 0 and solves > 0
 
-    def test_clear_forgets_every_answer(self):
+    def test_clear_forgets_every_answer(self, static_kernel):
         config = CacheConfig(1024, 4, 32, "plru")
         clear_decision_cache()
-        cold = _lookups("lu", config)
+        cold = _lookups(static_kernel, config)
         assert decision_cache_size() > 0
         clear_decision_cache()
         assert decision_cache_size() == 0
-        assert _lookups("lu", config) == cold
+        assert _lookups(static_kernel, config) == cold
 
-    def test_sweep_points_share_the_decision_cache(self):
+    def test_sweep_points_share_the_decision_cache(self, static_kernel):
         """``run_point`` records carry the decision-cache counters:
         the first point of a capacity sweep fills the cache and the
         later points only hit it."""
         from repro.explore.runner import run_point
         from repro.explore.spec import SweepSpec
 
-        spec = SweepSpec(kernels=["lu"], sizes=["MINI"],
+        spec = SweepSpec(kernels=[static_kernel], sizes=["MINI"],
                          l1_sizes=[512, 1024, 2048], l1_assocs=[4],
                          l1_policies=["plru"], block_sizes=[32])
         clear_decision_cache()

@@ -341,15 +341,23 @@ class TestWarmStart:
 
 
 class TestCertifiedSimulation:
-    @pytest.mark.parametrize("kernel", ["lu", "nussinov",
-                                        "floyd-warshall"])
-    def test_full_run_verifies_every_certificate(self, kernel):
+    @pytest.mark.parametrize("kernel,config", [
+        ("static-questions", (1024, 4, 32, "plru")),
+        ("floyd-warshall", (1024, 4, 32, "plru")),
+        ("floyd-warshall", (512, 2, 32, "lru")),
+    ])
+    def test_full_run_verifies_every_certificate(self, kernel, config):
+        """Kernels that still ask the ILP at MINI: the one of
+        ``tests/static_questions.py`` and floyd-warshall."""
         from repro.cache.config import CacheConfig
         from repro.polybench import build_kernel
         from repro.simulation import simulate_warping
 
-        scop = build_kernel(kernel, "MINI")
-        config = CacheConfig(1024, 4, 32, "plru")
+        import static_questions
+
+        scop = (static_questions.build(16) if kernel == "static-questions"
+                else build_kernel(kernel, "MINI"))
+        config = CacheConfig(*config)
         with obs.collect() as tracer, ilp.verification():
             simulate_warping(scop, config)  # CertificateError on any bug
         assert tracer.counters["ilp.cert_checks"] > 0

@@ -27,6 +27,9 @@ from repro.explore.store import is_monitor_key, open_store
 from repro.explore.runner import run_sweep
 from repro.obs.export import to_prometheus, validate_prometheus
 from repro.obs.tracer import Tracer
+from repro.polybench import KERNELS
+
+import static_questions
 
 
 def _spec(l1_sizes=(512, 1024), kernel="mvt"):
@@ -305,7 +308,8 @@ def test_pooled_workers_flush_final_heartbeat_on_exit(tmp_path):
     assert sum(b["points_done"] for b in beats) == 4
 
 
-def test_inline_sweep_heartbeat_reports_decision_hit_rate(tmp_path):
+def test_inline_sweep_heartbeat_reports_decision_hit_rate(tmp_path,
+                                                          monkeypatch):
     """The heartbeat's decision-cache hit rate is the one the sweep's
     own records imply: the first point fills the cache, later capacity
     points only hit it."""
@@ -313,10 +317,13 @@ def test_inline_sweep_heartbeat_reports_decision_hit_rate(tmp_path):
 
     path = str(tmp_path / "rate.jsonl")
     clear_decision_cache()
+    # This kernel asks the same ILP questions at every capacity (mvt
+    # asks none).
+    monkeypatch.setitem(KERNELS, static_questions.NAME,
+                        static_questions.SPEC)
     with open_store(path) as store:
-        # nussinov still asks ILP questions at MINI (mvt asks none).
-        run_sweep(_spec((256, 512, 1024), kernel="nussinov"), store=store,
-                  heartbeat=5.0)
+        run_sweep(_spec((256, 512, 1024), kernel=static_questions.NAME),
+                  store=store, heartbeat=5.0)
     with open_store(path) as store:
         (beat,) = read_heartbeats(store)
         counters = [record["result"]["counters"]
@@ -453,14 +460,17 @@ def test_frontier_metrics_line_without_lookups():
 
 
 def test_monitor_and_frontier_load_stores_with_warp_memo_fields(
-        tmp_path, capsys):
+        tmp_path, capsys, monkeypatch):
     """Stores written while sweep records and heartbeats still carried
     warp-memo sections (``result.memo``, ``memo``/``memo_hit_rate``)
     keep loading in ``repro monitor`` and ``repro frontier``."""
     path = str(tmp_path / "old.jsonl")
     prom_path = str(tmp_path / "old.prom")
+    monkeypatch.setitem(KERNELS, static_questions.NAME,
+                        static_questions.SPEC)
     with open_store(path) as store:
-        run_sweep(_spec(kernel="nussinov"), store=store, heartbeat=5.0)
+        run_sweep(_spec(kernel=static_questions.NAME), store=store,
+                  heartbeat=5.0)
     with open_store(path) as store:
         for record in store.ok_records():
             record["result"]["memo"] = {

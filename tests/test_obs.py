@@ -185,16 +185,21 @@ class TestEngineCounters:
             counters.get("ilp.solves", 0)
         assert counters["sym.snapshot_keys"] > 0
 
-    def test_lu_ilp_solve_count_is_pinned(self):
-        """The same pins on a kernel that still attempts warps."""
-        scop = build_kernel("lu", "MINI")
+    def test_floyd_warshall_ilp_solve_count_is_pinned(self):
+        """The same pins on a kernel that still asks the ILP (lu's one
+        question came from an attempt at its coupled k loop, which takes
+        no keys now), from a cold decision cache."""
+        from repro.isl.sets import clear_decision_cache
+
+        scop = build_kernel("floyd-warshall", "MINI")
+        clear_decision_cache()
         with obs.collect() as tracer:
-            simulate_warping(scop, GEMM_CONFIG)
-        assert tracer.counters["ilp.solves"] == 1
-        assert tracer.counters["warp.attempts"] == 4
-        assert tracer.counters["warp.hits"] == 1
-        assert tracer.counters["warp.reject.align"] == 2
-        assert tracer.counters["warp.reject.rotation"] == 1
+            simulate_warping(scop, CacheConfig(1024, 4, 32, "plru"))
+        assert tracer.counters["ilp.solves"] == 6
+        assert tracer.counters["warp.attempts"] == 142
+        assert tracer.counters["warp.hits"] == 23
+        assert tracer.counters["warp.reject.short_tail"] == 117
+        assert tracer.counters["warp.reject.overlap"] == 2
         assert tracer.counters["ilp.lp_solves"] >= \
             tracer.counters["ilp.solves"]
         assert tracer.counters["ilp.pivots"] >= 1
@@ -306,8 +311,8 @@ class TestExports:
 
 
 class TestProfileCli:
-    ARGS = ["--kernel", "lu", "--size", "MINI",
-            "--l1-size", "2048", "--l1-assoc", "4",
+    ARGS = ["--kernel", "floyd-warshall", "--size", "MINI",
+            "--l1-size", "1024", "--l1-assoc", "4",
             "--l1-policy", "plru", "--block-size", "32"]
 
     def test_profile_prints_phase_table(self, capsys, tmp_path):
@@ -334,7 +339,7 @@ class TestProfileCli:
         # >= 90% of the engine's wall time attributed to named spans.
         assert payload["coverage"] >= 0.9
         assert payload["result"]["l1_misses"] > 0
-        assert payload["counters"]["ilp.solves"] == 1
+        assert payload["counters"]["ilp.solves"] == 6
 
     def test_simulate_profile_keeps_stdout_clean(self, capsys):
         code = main(["simulate", *self.ARGS, "--profile", "--json"])

@@ -217,3 +217,24 @@ def check(case):
 @given(case=cases())
 def test_programs_equal_the_oracle(case):
     check(case)
+
+
+def test_ways_filled_before_detection_move_with_no_warp():
+    """The reads of X before the i loop fill sets 1 and 3 of a 4-set
+    direct-mapped cache while no loop detects matches, so they store no
+    symbol.  The i loop's read of A moves two sets per iteration, so it
+    matches its own state one iteration later, rotated by two sets,
+    unless the two blocks of X tell sets 1 and 3 apart: their
+    constant-block symbols do, ways without a symbol would look empty.
+    Warped by an odd number of iterations, such a rotation would swap
+    them, and the last two reads of X would miss."""
+    b = ScopBuilder("rotated", alignment=16)
+    X = b.array("X", (8,))
+    A = b.array("A", (168,))
+    b.read(X, 2)
+    b.read(X, 6)
+    with b.loop("i", 0, 40):
+        b.read(A, 4 * b.i)
+    b.read(X, 2)
+    b.read(X, 6)
+    check((b.build(), CacheConfig(64, 1, BLOCK, "lru"), 1))

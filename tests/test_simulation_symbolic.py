@@ -194,21 +194,31 @@ def test_clone_keeps_the_symbolic_types():
 # -- two-stage match detection -----------------------------------------------------
 
 
-def test_equal_policy_states_share_a_fingerprint_not_a_key():
-    """The fingerprint (policy states in rotation order) is only a
-    necessary condition: the same blocks filled by another access node
-    leave every policy state alike, but not the symbols."""
+def test_fingerprint_tells_nodes_apart_not_points():
+    """The fingerprint (per set, a hash of the policy state and each
+    way's node, in rotation order) is only a necessary condition: the
+    same blocks filled by another access node leave every policy state
+    alike but give another fingerprint, while the same nodes at shifted
+    points give the same fingerprint and another exact key."""
     cfg = CacheConfig(128, 2, 16, "lru")
-    first, second = SymbolicCache(cfg), SymbolicCache(cfg)
+    first, second, shifted = (SymbolicCache(cfg) for _ in range(3))
     node_a = make_scan_scop().roots[0].children[0]
     node_b = make_scan_scop().roots[0].children[0]
     for i in range(12):
         block = node_a.addr_at((i,)) // 16
         first.access(block, False, (node_a, (i,)))
         second.access(block, False, (node_b, (i,)))
-    assert [s.lines for s in first.sets] == [s.lines for s in second.sets]
-    assert fingerprint(first.snapshots()) == fingerprint(second.snapshots())
-    assert first.snapshot_key(1, (12,)) != second.snapshot_key(1, (12,))
+        shifted.access(block, False, (node_a, (i + 1,)))
+    for other in (second, shifted):
+        assert [s.lines for s in other.sets] == [s.lines for s in first.sets]
+        assert [s.policy_state for s in other.sets] == \
+            [s.policy_state for s in first.sets]
+    assert fingerprint(first.snapshots()) != fingerprint(second.snapshots())
+    assert fingerprint(first.snapshots()) == fingerprint(shifted.snapshots())
+    key = first.snapshot_key(1, (12,))
+    assert shifted.snapshot_key(1, (12,)) != key
+    # Re-based onto the next iteration, the shifted state is the same.
+    assert shifted.snapshot_key(1, (13,)) == key
 
 
 def test_rotated_image_has_the_same_exact_key():
