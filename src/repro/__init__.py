@@ -23,7 +23,8 @@ Package map:
 * :mod:`repro.simulation` — Algorithm 1 (concrete) and Algorithm 2
   (warping symbolic) simulation.
 * :mod:`repro.baselines` — Dinero-, HayStack-, PolyCache-style baselines
-  and a hardware-measurement oracle.
+  and a model of hardware measurements (a seeded perturbation of the
+  exact simulation; its accuracy against hardware is unmeasured).
 * :mod:`repro.polybench` — the 30 PolyBench 4.2.1 kernels as SCoPs.
 * :mod:`repro.analysis` — metrics and report tables.
 * :mod:`repro.explore` — parallel, resumable design-space exploration
@@ -52,47 +53,75 @@ Design-space sweeps::
         frontier = pareto_frontier(store.ok_records())
 """
 
-from repro import obs
-from repro.obs import MetricRegistry, to_prometheus
-from repro.cache import (
-    Cache,
-    CacheConfig,
-    CacheHierarchy,
-    HierarchyConfig,
-    InclusionPolicy,
-    WritePolicy,
-)
-from repro.explore import (
-    SweepOutcome,
-    SweepPoint,
-    SweepSpec,
-    campaign_status,
-    engine_deltas,
-    open_store,
-    pareto_frontier,
-    policy_sensitivity,
-    run_sweep,
-)
-from repro.perf import compare_payloads, shard_simulate
-from repro.polybench import build_kernel, all_kernel_names
-from repro.polyhedral import ScopBuilder
-from repro.simulation import (
-    LevelStats,
-    SimulationResult,
-    simulate_nonwarping,
-    simulate_warping,
-)
-from repro.transform import (
-    Pipeline,
-    TransformError,
-    TransformStep,
-    apply_pipeline,
-    render_scop,
-)
+import sys
 
 #: Single source of the package version: ``setup.py`` parses this
 #: assignment and the CLI exposes it as ``repro --version``.
 __version__ = "1.4.0"
+
+
+def lazy_exports(package, table):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package whose
+    re-exported names import their module on first access.
+
+    ``table`` maps each module to the names taken from it, as the
+    ``from module import ...`` statement it replaces would list them
+    (``"name as alias"`` renames).  Any other name imports the
+    package's submodule of that name, as ``import package.name`` would.
+    A resolved name is stored in the package, so only its first access
+    reaches ``__getattr__``.
+    """
+    namespace = sys.modules[package].__dict__
+    sources = {}
+    for module, names in table.items():
+        for entry in names:
+            attr, _, alias = entry.partition(" as ")
+            sources[alias or attr] = (module, attr)
+
+    # ``__import__``, not ``importlib.import_module``: only the former
+    # shows in ``python -X importtime``.
+    def __getattr__(name):
+        if name in sources:
+            module, attr = sources[name]
+            __import__(module)
+            value = getattr(sys.modules[module], attr)
+        else:
+            submodule = f"{package}.{name}"
+            try:
+                __import__(submodule)
+            except ModuleNotFoundError as exc:
+                if exc.name != submodule:
+                    raise
+                raise AttributeError(
+                    f"module {package!r} has no attribute {name!r}"
+                ) from None
+            value = sys.modules[submodule]
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(sources)
+                      | set(namespace.get("__all__", ())))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs": ("MetricRegistry", "to_prometheus"),
+    "repro.cache": ("Cache", "CacheConfig", "CacheHierarchy",
+                    "HierarchyConfig", "InclusionPolicy", "WritePolicy"),
+    "repro.explore": ("SweepOutcome", "SweepPoint", "SweepSpec",
+                      "campaign_status", "engine_deltas", "open_store",
+                      "pareto_frontier", "policy_sensitivity",
+                      "run_sweep"),
+    "repro.perf": ("compare_payloads", "shard_simulate"),
+    "repro.polybench": ("build_kernel", "all_kernel_names"),
+    "repro.polyhedral": ("ScopBuilder",),
+    "repro.simulation": ("LevelStats", "SimulationResult",
+                         "simulate_nonwarping", "simulate_warping"),
+    "repro.transform": ("Pipeline", "TransformError", "TransformStep",
+                        "apply_pipeline", "render_scop"),
+})
 
 __all__ = [
     "obs",

@@ -6,16 +6,21 @@
   fully-associative LRU caches via exact stack distances.
 * :mod:`repro.baselines.polycache` — a PolyCache-style per-set analytical
   model of set-associative LRU caches.
-* :mod:`repro.baselines.hardware` — a "measured hardware" oracle standing
-  in for the paper's PAPI measurements (adds the effects the simulators
-  deliberately ignore: scalar/stack traffic and micro-architectural
-  noise).
+* :mod:`repro.baselines.hardware` — a model standing in for the paper's
+  PAPI measurements: the exact simulation plus the effects the
+  simulators deliberately ignore (scalar/stack traffic and a seeded
+  perturbation for micro-architectural noise).  It measures nothing;
+  its accuracy against hardware is unmeasured.
 """
 
-from repro.baselines.dinero import DineroSimulator, simulate_dinero
-from repro.baselines.haystack import haystack_misses
-from repro.baselines.polycache import polycache_misses
-from repro.baselines.hardware import measure_hardware
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.dinero": ("DineroSimulator", "simulate_dinero"),
+    "repro.baselines.haystack": ("haystack_misses",),
+    "repro.baselines.polycache": ("polycache_misses",),
+    "repro.baselines.hardware": ("measure_hardware",),
+})
 
 __all__ = [
     "DineroSimulator",

@@ -1,4 +1,4 @@
-"""A "measured hardware" oracle (substitute for the paper's PAPI runs).
+"""A model of hardware measurements (substitute for the paper's PAPI runs).
 
 The paper's Fig. 11/13/14 compare simulated miss counts against PAPI
 measurements on an i9-10980XE.  Those measurements differ from every
@@ -8,7 +8,7 @@ micro-architectural effects (memory reordering, speculative execution,
 TLB walks) that none of the compared approaches capture — the paper
 calls this out explicitly as the dominant source of error.
 
-This oracle reproduces exactly that structure without the hardware:
+This model imitates that structure without the hardware:
 
 * ground truth = concrete simulation of the *true* cache (set-associative,
   PLRU by default — what the machine actually has),
@@ -19,7 +19,9 @@ This oracle reproduces exactly that structure without the hardware:
   (seeded per kernel/config, bounded by ``noise``) standing in for the
   unmodelled effects.
 
-The perturbation is deterministic so experiments are reproducible.
+The perturbation is deterministic so experiments are reproducible.  The
+model measures nothing: how close its counts come to a real machine's is
+unmeasured.
 """
 
 from __future__ import annotations

@@ -13,28 +13,19 @@ This subpackage implements the cache substrate of the paper (Section 2):
   policies (:mod:`repro.cache.hierarchy`).
 """
 
-from repro.cache.config import (
-    CacheConfig,
-    HierarchyConfig,
-    InclusionPolicy,
-    IndexFunction,
-    WritePolicy,
-    test_system_hierarchy,
-    test_system_l1,
-    test_system_l2,
-    test_system_l3,
-)
-from repro.cache.policies import (
-    ReplacementPolicy,
-    LRU,
-    FIFO,
-    PLRU,
-    QLRU,
-    POLICIES,
-    policy_by_name,
-)
-from repro.cache.cache import CacheSetState, Cache
-from repro.cache.hierarchy import CacheHierarchy
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cache.config": ("CacheConfig", "HierarchyConfig",
+                           "InclusionPolicy", "IndexFunction",
+                           "WritePolicy", "test_system_hierarchy",
+                           "test_system_l1", "test_system_l2",
+                           "test_system_l3"),
+    "repro.cache.policies": ("ReplacementPolicy", "LRU", "FIFO", "PLRU",
+                             "QLRU", "POLICIES", "policy_by_name"),
+    "repro.cache.cache": ("CacheSetState", "Cache"),
+    "repro.cache.hierarchy": ("CacheHierarchy",),
+})
 
 __all__ = [
     "test_system_hierarchy",

@@ -51,10 +51,11 @@ import json
 import os
 import re
 import sys
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
+# Each cmd_* function imports what only its subcommand needs, so a run
+# loads the modules of its own subcommand and no others.
 from repro import obs
-from repro.baselines import haystack_misses, polycache_misses
 from repro.obs.log import configure as configure_logging, get_logger
 from repro.cache.config import (
     CacheConfig,
@@ -62,38 +63,11 @@ from repro.cache.config import (
     InclusionPolicy,
     WritePolicy,
 )
-from repro.explore.frontier import (
-    DEFAULT_OBJECTIVES,
-    OBJECTIVES,
-    engine_deltas,
-    pareto_frontier,
-    policy_sensitivity,
-    resolve_objective,
-)
-from repro.explore.report import (
-    deltas_table,
-    frontier_table,
-    sensitivity_table,
-    sweep_summary,
-    sweep_table,
-)
-from repro.explore.runner import result_payload, run_engine, run_sweep
+from repro.cache.policies import POLICIES
 from repro.explore.spec import ENGINES, INCLUSIONS, SweepSpec
-from repro.explore.store import open_store
-from repro.frontend import parse_scop
-from repro.polybench import (
-    SIZE_CLASSES,
-    all_kernel_names,
-    build_kernel,
-    get_kernel,
-)
-from repro.polyhedral.model import Scop
-from repro.transform import (
-    TransformError,
-    apply_pipeline,
-    canonical_spec,
-    render_scop,
-)
+
+if TYPE_CHECKING:
+    from repro.polyhedral.model import Scop
 
 DEFAULT_STORE = "sweep_results.jsonl"
 
@@ -183,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"result store path (default "
                                f"{DEFAULT_STORE})")
     frontier.add_argument(
-        "--objectives", default=",".join(DEFAULT_OBJECTIVES),
+        "--objectives", default=None,
         help="comma-separated minimised objectives (default "
              "'capacity,l1_misses'; also: l1_size, miss_rate, "
              "wall_time, and lN_misses/lN_hits for any hierarchy "
@@ -313,7 +287,7 @@ def _add_program_args(parser: argparse.ArgumentParser) -> None:
              "strip_mine, interchange, reverse, fuse, distribute)")
 
 
-POLICY_CHOICES = ["lru", "fifo", "plru", "qlru", "nmru"]
+POLICY_CHOICES = list(POLICIES)
 
 _SIZE_SUFFIXES = {
     "": 1, "b": 1,
@@ -481,22 +455,47 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
 
 
 def load_program(args) -> Scop:
+    """The ``--kernel``/``--size`` or ``--source`` program with its
+    ``--transform`` applied; a bad value of any of these flags exits
+    with one line naming the flag."""
+    scop = _load_kernel(args) if args.kernel else _load_source(args)
     transform = getattr(args, "transform", None)
-    try:
-        if args.kernel:
-            size = args.size
-            if size.strip().startswith("{"):
-                size = json.loads(size)
-            return build_kernel(args.kernel, size, transform=transform)
-        with open(args.source) as handle:
-            source = handle.read()
-        name = args.source.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        scop = parse_scop(source, name=name)
-        if transform:
-            scop = apply_pipeline(scop, transform)
+    if not transform:
         return scop
+    from repro.transform import TransformError, apply_pipeline
+
+    try:
+        return apply_pipeline(scop, transform)
     except TransformError as exc:
         raise SystemExit(f"--transform: {exc}")
+
+
+def _load_kernel(args) -> Scop:
+    from repro.polybench import get_kernel
+
+    try:
+        spec = get_kernel(args.kernel)
+    except ValueError as exc:
+        raise SystemExit(f"--kernel: {exc}")
+    try:
+        size = args.size
+        if size.strip().startswith("{"):
+            size = json.loads(size)
+        params = spec.size_dict(size)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"--size: {exc}")
+    return spec.builder(**params)
+
+
+def _load_source(args) -> Scop:
+    from repro.frontend import parse_scop
+
+    name = args.source.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    try:
+        with open(args.source) as handle:
+            return parse_scop(handle.read(), name=name)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"--source: {exc}")
 
 
 def load_config(args):
@@ -558,8 +557,10 @@ def result_dict(result, has_l2: Optional[bool] = None) -> dict:
     level — even when a level's counters are zero — so downstream
     schemas (sweep stores, scripts) stay stable.  ``has_l2`` only
     adjusts results predating per-level stats (see
-    :func:`repro.explore.runner.result_payload`).
+    :func:`repro.simulation.result.result_payload`).
     """
+    from repro.simulation.result import result_payload
+
     return result_payload(result, has_l2=has_l2)
 
 
@@ -574,6 +575,8 @@ def _print_profile(tracer, title: str,
 
 
 def cmd_simulate(args) -> int:
+    from repro.simulation.dispatch import run_engine
+
     scop = load_program(args)
     config = load_config(args)
 
@@ -597,6 +600,8 @@ def cmd_simulate(args) -> int:
     if args.json:
         payload = result_dict(result)
         if args.transform:
+            from repro.transform import canonical_spec
+
             payload["transform"] = canonical_spec(args.transform)
         print(json.dumps(payload, indent=2))
     else:
@@ -605,6 +610,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from repro.transform import canonical_spec, render_scop
+
     scop = load_program(args)
     pipeline_spec = canonical_spec(args.transform) if args.transform \
         else ""
@@ -648,6 +655,9 @@ def cmd_transform(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.baselines import haystack_misses, polycache_misses
+    from repro.simulation.dispatch import run_engine
+
     scop = load_program(args)
     config = load_config(args)
     is_hierarchy = isinstance(config, HierarchyConfig)
@@ -699,6 +709,7 @@ def cmd_profile(args) -> int:
         validate_chrome_trace,
         write_chrome_trace,
     )
+    from repro.simulation.dispatch import run_engine
 
     scop = load_program(args)
     config = load_config(args)
@@ -736,6 +747,8 @@ def cmd_profile(args) -> int:
 
 
 def _sweep_from_args(args):
+    from repro.polybench import all_kernel_names
+
     if args.spec:
         return SweepSpec.from_file(args.spec)
     if not args.kernels:
@@ -764,6 +777,10 @@ def _sweep_from_args(args):
 
 
 def cmd_sweep(args) -> int:
+    from repro.explore.report import sweep_summary, sweep_table
+    from repro.explore.runner import run_sweep
+    from repro.explore.store import open_store
+
     stats: dict = {}
     try:
         spec = _sweep_from_args(args)
@@ -842,9 +859,27 @@ def _aggregate_sweep_tracer(records):
 
 
 def cmd_frontier(args) -> int:
+    from repro.explore.frontier import (
+        DEFAULT_OBJECTIVES,
+        OBJECTIVES,
+        engine_deltas,
+        pareto_frontier,
+        policy_sensitivity,
+        resolve_objective,
+    )
+    from repro.explore.report import (
+        deltas_table,
+        failures_table,
+        frontier_table,
+        sensitivity_table,
+        store_metrics_summary,
+    )
+    from repro.explore.store import open_store
+
     # Validate objective names up front — before any store I/O — so a
     # typo yields a clear message instead of a traceback mid-analysis.
-    objectives = _comma_list(args.objectives)
+    objectives = (list(DEFAULT_OBJECTIVES) if args.objectives is None
+                  else _comma_list(args.objectives))
     if not objectives:
         raise SystemExit("frontier: --objectives must name at least "
                          "one objective")
@@ -890,11 +925,6 @@ def cmd_frontier(args) -> int:
     if args.json:
         print(json.dumps(frontier, indent=2))
     else:
-        from repro.explore.report import (
-            failures_table,
-            store_metrics_summary,
-        )
-
         print(frontier_table(frontier, objectives))
         # Store-backed metrics ride in every record — surface the
         # aggregate (decision-cache reuse, ILP pressure) without a flag.
@@ -915,6 +945,7 @@ def cmd_monitor(args) -> int:
         monitor_json,
     )
     from repro.explore.report import monitor_view
+    from repro.explore.store import open_store
     from repro.obs.export import append_series, to_prometheus
 
     if not os.path.exists(args.store):
@@ -1021,6 +1052,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_list_kernels(args) -> int:
+    from repro.polybench import SIZE_CLASSES, all_kernel_names, get_kernel
+
     names = all_kernel_names()
     # Validate up front so a typo'd --counts errors in text mode too,
     # instead of being silently ignored.

@@ -38,34 +38,20 @@ Modules:
 * :mod:`repro.explore.report` — text tables for all of the above.
 """
 
-from repro.explore.frontier import (
-    DEFAULT_OBJECTIVES,
-    OBJECTIVES,
-    engine_deltas,
-    pareto_frontier,
-    policy_sensitivity,
-    resolve_objective,
-)
-from repro.explore.monitor import campaign_status
-from repro.explore.runner import (
-    SweepOutcome,
-    run_point,
-    run_sweep,
-    simulate_point,
-)
-from repro.explore.spec import (
-    SweepPoint,
-    SweepSpec,
-    SweepUnion,
-    expand_specs,
-)
-from repro.explore.store import (
-    JsonlStore,
-    ResultStore,
-    SqliteStore,
-    load_records,
-    open_store,
-)
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.explore.frontier": ("DEFAULT_OBJECTIVES", "OBJECTIVES",
+                               "engine_deltas", "pareto_frontier",
+                               "policy_sensitivity", "resolve_objective"),
+    "repro.explore.monitor": ("campaign_status",),
+    "repro.explore.runner": ("SweepOutcome", "run_point", "run_sweep",
+                             "simulate_point"),
+    "repro.explore.spec": ("SweepPoint", "SweepSpec", "SweepUnion",
+                           "expand_specs"),
+    "repro.explore.store": ("JsonlStore", "ResultStore", "SqliteStore",
+                            "load_records", "open_store"),
+})
 
 __all__ = [
     "DEFAULT_OBJECTIVES",

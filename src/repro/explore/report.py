@@ -7,11 +7,13 @@ benchmark harness.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.analysis.report import format_table
 from repro.explore.frontier import objective_values
-from repro.explore.runner import SweepOutcome
+
+if TYPE_CHECKING:
+    from repro.explore.runner import SweepOutcome
 
 
 def sweep_summary(outcome: SweepOutcome, store_path: str = "") -> str:

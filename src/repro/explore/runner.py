@@ -25,9 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.cache.cache import Cache
-from repro.cache.config import HierarchyConfig
-from repro.cache.hierarchy import CacheHierarchy
 from repro.explore import monitor
 from repro.explore.spec import SweepPoint, SweepSpec, SweepUnion
 from repro.explore.store import (
@@ -39,7 +36,8 @@ from repro.explore.store import (
 )
 from repro.obs.log import get_logger
 from repro.obs.tracer import Tracer
-from repro.simulation.result import SimulationResult
+from repro.simulation.dispatch import run_engine
+from repro.simulation.result import SimulationResult, result_payload
 
 ProgressFn = Callable[[dict], None]
 
@@ -128,66 +126,6 @@ class SweepOutcome:
             "errors": self.errors,
             "wall_time_s": round(self.wall_time, 6),
         }
-
-
-def result_payload(result: SimulationResult,
-                   has_l2: Optional[bool] = None) -> dict:
-    """Serialise a :class:`SimulationResult` into a stable JSON schema.
-
-    One ``lN_hits``/``lN_misses`` pair is emitted per level the result
-    reports on — i.e. per configured hierarchy level, even when a
-    level's counters are zero.  ``has_l2`` only adjusts results that
-    predate per-level stats: ``True`` pads a missing second level with
-    zeros, ``False`` truncates to the first level, ``None`` (default)
-    leaves the levels as reported.
-    """
-    levels = list(result.levels)
-    if has_l2 is True and len(levels) < 2:
-        from repro.simulation.result import LevelStats
-
-        levels.append(LevelStats("L2"))
-    elif has_l2 is False:
-        levels = levels[:1]
-    payload = {
-        "program": result.scop_name,
-        "accesses": result.accesses,
-    }
-    for number, stats in enumerate(levels, start=1):
-        payload[f"l{number}_hits"] = stats.hits
-        payload[f"l{number}_misses"] = stats.misses
-    payload["wall_time_s"] = round(result.wall_time, 6)
-    if result.warp_count:
-        payload["warps"] = result.warp_count
-        payload["warped_accesses"] = result.warped_accesses
-    return payload
-
-
-def run_engine(scop, config, engine: str,
-               enable_warping: bool = True) -> SimulationResult:
-    """Dispatch one simulation engine on (scop, config).
-
-    The single engine-name -> simulator mapping, shared by the CLI's
-    ``simulate``/``compare`` and the sweep workers.  For the ``warping``
-    engine, ``enable_warping=False`` runs its ablation mode (symbolic
-    simulation without warping — Algorithm 1 semantics, warp machinery
-    off); the other engines never warp, so the flag is moot there.
-    """
-    # Imported lazily so the module stays importable without pulling
-    # every engine in.  The baselines package is imported only for the
-    # engine that needs it: a set-shard worker times its run_engine call,
-    # and importing it there would charge each worker several ms.
-    from repro.simulation import simulate_nonwarping, simulate_warping
-
-    if engine == "dinero":
-        from repro.baselines import simulate_dinero
-
-        return simulate_dinero(scop, config)
-    if engine == "tree":
-        target = (CacheHierarchy(config)
-                  if isinstance(config, HierarchyConfig)
-                  else Cache(config))
-        return simulate_nonwarping(scop, target)
-    return simulate_warping(scop, config, enable_warping=enable_warping)
 
 
 def simulate_point(point: SweepPoint,
@@ -285,11 +223,18 @@ def _run_point_guarded(point: SweepPoint,
     # the moment of death — exactly the forensics a failure record
     # wants ("where had the time gone when this point died?").
     tracer = Tracer()
-    # Import the kernel modules before the deadline is armed: a point's
-    # deadline covers its own build and simulation, not the one-off
-    # registry load of a fresh worker process.
+    # Import what the point runs before the deadline is armed, as this
+    # module's import of run_engine did the tree and warping engines: a
+    # point's deadline covers its own build and simulation, not the
+    # one-off imports of a fresh worker process.
     from repro.polybench import all_kernel_names
     all_kernel_names()
+    if point.transform:
+        import repro.transform.primitives  # noqa: F401
+    if point.engine == "dinero":
+        import repro.baselines.dinero  # noqa: F401
+    if workers > 1:
+        import repro.perf.sharding  # noqa: F401
     start = time.perf_counter()
     try:
         # Armed inside the try so an alarm that fires immediately (tiny

@@ -32,21 +32,16 @@ import time
 from contextlib import contextmanager
 from typing import Optional
 
+from repro import lazy_exports
+
 from .tracer import SpanPath, SpanStats, Tracer
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricFamily,
-    MetricRegistry,
-)
-from .export import (
-    append_series,
-    to_prometheus,
-    validate_prometheus,
-    validate_series,
-)
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricError",
+                          "MetricFamily", "MetricRegistry"),
+    "repro.obs.export": ("append_series", "to_prometheus",
+                         "validate_prometheus", "validate_series"),
+})
 
 __all__ = [
     "Tracer", "SpanStats", "SpanPath", "Stopwatch",

@@ -14,12 +14,13 @@ large campaigns:
   (``repro bench --compare``).
 """
 
-from repro.perf.regress import (
-    compare_payloads,
-    inject_slowdown,
-    regression_table,
-)
-from repro.perf.sharding import shard_simulate
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.perf.regress": ("compare_payloads", "inject_slowdown",
+                           "regression_table"),
+    "repro.perf.sharding": ("shard_simulate",),
+})
 
 __all__ = [
     "compare_payloads",

@@ -44,8 +44,9 @@ from repro.cache.config import (
     shard_target_config,
     shardable_ways,
 )
-from repro.explore.runner import map_parallel, run_engine
+from repro.explore.runner import map_parallel
 from repro.polyhedral.model import Scop
+from repro.simulation.dispatch import run_engine
 from repro.simulation.result import LevelStats, SimulationResult
 
 TargetConfig = Union[CacheConfig, HierarchyConfig]

@@ -7,9 +7,13 @@
   simulation (Sections 5.1-5.3).
 """
 
-from repro.simulation.result import LevelStats, SimulationResult
-from repro.simulation.nonwarping import simulate as simulate_nonwarping
-from repro.simulation.warping import simulate_warping
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simulation.result": ("LevelStats", "SimulationResult"),
+    "repro.simulation.nonwarping": ("simulate as simulate_nonwarping",),
+    "repro.simulation.warping": ("simulate_warping",),
+})
 
 __all__ = ["LevelStats", "SimulationResult", "simulate_nonwarping",
            "simulate_warping"]

@@ -194,3 +194,33 @@ class SimulationResult:
             f"{s.name}: {s.hits}h/{s.misses}m" for s in self.levels)
         return (f"SimulationResult({self.scop_name!r}, "
                 f"accesses={self.accesses}, {level_repr})")
+
+
+def result_payload(result: SimulationResult,
+                   has_l2: Optional[bool] = None) -> dict:
+    """Serialise a :class:`SimulationResult` into a stable JSON schema.
+
+    One ``lN_hits``/``lN_misses`` pair is emitted per level the result
+    reports on — i.e. per configured hierarchy level, even when a
+    level's counters are zero.  ``has_l2`` only adjusts results that
+    predate per-level stats: ``True`` pads a missing second level with
+    zeros, ``False`` truncates to the first level, ``None`` (default)
+    leaves the levels as reported.
+    """
+    levels = list(result.levels)
+    if has_l2 is True and len(levels) < 2:
+        levels.append(LevelStats("L2"))
+    elif has_l2 is False:
+        levels = levels[:1]
+    payload = {
+        "program": result.scop_name,
+        "accesses": result.accesses,
+    }
+    for number, stats in enumerate(levels, start=1):
+        payload[f"l{number}_hits"] = stats.hits
+        payload[f"l{number}_misses"] = stats.misses
+    payload["wall_time_s"] = round(result.wall_time, 6)
+    if result.warp_count:
+        payload["warps"] = result.warp_count
+        payload["warped_accesses"] = result.warped_accesses
+    return payload

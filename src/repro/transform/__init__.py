@@ -20,31 +20,21 @@ interchange additionally require the affected band to be permutable
 performs exactly the original accesses in the new order.
 """
 
-from repro.transform.errors import (
-    IncompatibleLoopsError,
-    NotPerfectlyNestedError,
-    NotPermutableError,
-    PipelineSyntaxError,
-    TransformError,
-    UnknownIteratorError,
-    UnsupportedDomainError,
-)
-from repro.transform.pipeline import (
-    Pipeline,
-    TransformStep,
-    apply_pipeline,
-    as_pipeline,
-    canonical_spec,
-)
-from repro.transform.primitives import (
-    distribute,
-    fuse,
-    interchange,
-    reverse,
-    strip_mine,
-    tile,
-)
-from repro.transform.render import render_scop
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.transform.errors": ("IncompatibleLoopsError",
+                               "NotPerfectlyNestedError",
+                               "NotPermutableError", "PipelineSyntaxError",
+                               "TransformError", "UnknownIteratorError",
+                               "UnsupportedDomainError"),
+    "repro.transform.pipeline": ("Pipeline", "TransformStep",
+                                 "apply_pipeline", "as_pipeline",
+                                 "canonical_spec"),
+    "repro.transform.primitives": ("distribute", "fuse", "interchange",
+                                   "reverse", "strip_mine", "tile"),
+    "repro.transform.render": ("render_scop",),
+})
 
 __all__ = [
     "IncompatibleLoopsError",

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.polyhedral.model import Scop
-from repro.transform import primitives
 from repro.transform.errors import PipelineSyntaxError
 
 _CALL = re.compile(r"^([A-Za-z_][\w-]*)\s*\(\s*(.*?)\s*\)$")
@@ -125,6 +124,10 @@ class TransformStep:
         return f"{self.op}({args})"
 
     def apply(self, scop: Scop) -> Scop:
+        # Imported here: parsing and canonicalising specs (every sweep
+        # point does) needs no primitive.
+        from repro.transform import primitives
+
         if self.op == "tile":
             return primitives.tile(scop, self.iterators, self.sizes)
         if self.op == "strip_mine":

@@ -172,6 +172,25 @@ def test_simulate_transform_errors_exit_cleanly(capsys):
         assert "--transform" in str(err.value)
 
 
+@pytest.mark.parametrize("command",
+                         ["simulate", "compare", "profile", "transform"])
+@pytest.mark.parametrize("program, flag", [
+    (["--kernel", "nope"], "--kernel"),
+    (["--kernel", "gemm", "--size", "HUGE"], "--size"),
+    (["--kernel", "gemm", "--size", '{"N": 4}'], "--size"),
+    (["--kernel", "gemm", "--size", '{"NI": '], "--size"),
+    (["--kernel", "gemm", "--size", '{"NI": null, "NJ": 2, "NK": 2}'],
+     "--size"),
+    (["--source", "missing.c"], "--source"),
+])
+def test_program_errors_exit_cleanly(command, program, flag, tmp_path,
+                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main([command] + program)
+    assert str(err.value).startswith(f"{flag}: ")
+
+
 def test_transform_subcommand_text(capsys):
     out = run(capsys, [
         "transform", "--kernel", "mvt", "--size", '{"N": 12}',

@@ -12,9 +12,9 @@ from repro.cache.config import test_system_hierarchy as paper_hierarchy
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cli import main, parse_level_spec, parse_size
 from repro.explore.frontier import pareto_frontier, resolve_objective
-from repro.explore.runner import result_payload
 from repro.explore.spec import SweepPoint, SweepSpec
-from repro.simulation.result import LevelStats, SimulationResult
+from repro.simulation.result import (LevelStats, SimulationResult,
+                                     result_payload)
 
 
 def three_level(inclusion=InclusionPolicy.NINE, policies=("lru",) * 3):
